@@ -534,38 +534,42 @@ impl ArtifactCache {
         self.read_decoded(key, decode).ok().flatten()
     }
 
-    /// Quiet re-check of an off-line schedule (see
+    /// Quiet re-check of a packed trace (see
     /// [`recheck_with`](Self::recheck_with)).
-    pub fn recheck_schedule(&self, key: &ArtifactKey) -> Option<OfflineSchedule> {
-        self.recheck_with(key, codec::decode_schedule)
-    }
-
-    /// Quiet re-check of a packed trace.
     pub fn recheck_trace(&self, key: &ArtifactKey) -> Option<mcd_sim::trace::PackedTrace> {
         self.recheck_with(key, codec::decode_trace)
     }
 
-    /// Quiet re-check of a training artifact.
-    pub fn recheck_training(&self, key: &ArtifactKey) -> Option<TrainingArtifact> {
-        self.recheck_with(key, codec::decode_training)
-    }
-
-    /// Quiet re-check of per-window shaker histograms.
-    pub fn recheck_window_histograms(
+    /// The single-writer publication ladder every computed artifact goes
+    /// through: a counted load; on a miss, the key's publication lock and a
+    /// quiet re-check (a concurrent process may have published it while this
+    /// one waited); only then `compute`, and store the result. Every store
+    /// happens under the lock after a confirmed miss, so N cold processes
+    /// sharing this cache write each key exactly once. A `compute` that
+    /// publishes an input artifact of its own nests a second ladder, so
+    /// locks are always taken derived key → input key and cannot deadlock.
+    ///
+    /// A disabled cache runs the same ladder: its loads miss uncounted, its
+    /// lock is `None` and its store does nothing.
+    pub(crate) fn publish<T>(
         &self,
         key: &ArtifactKey,
-        grid: &FrequencyGrid,
-    ) -> Option<Vec<Option<RegionHistograms>>> {
-        self.recheck_with(key, |bytes| codec::decode_window_histograms(bytes, grid))
-    }
-
-    /// Quiet re-check of per-region training histograms.
-    pub fn recheck_training_histograms(
-        &self,
-        key: &ArtifactKey,
-        grid: &FrequencyGrid,
-    ) -> Option<TrainingHistogramsArtifact> {
-        self.recheck_with(key, |bytes| codec::decode_training_histograms(bytes, grid))
+        decode: impl Fn(&[u8]) -> Result<T, codec::CodecError>,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+        compute: impl FnOnce() -> T,
+    ) -> T {
+        if let Some(value) = self.load_with(key, &decode) {
+            return value;
+        }
+        let _lock = self.lock_publication(key);
+        if let Some(value) = self.recheck_with(key, &decode) {
+            return value;
+        }
+        let value = compute();
+        if self.is_enabled() {
+            self.store_raw(key, &encode(&value));
+        }
+        value
     }
 
     /// One crash-consistent publication attempt: payload to a temporary

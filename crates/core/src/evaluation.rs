@@ -8,17 +8,16 @@
 //! The pipeline is scheme-agnostic: it drives a registry of
 //! [`DvfsScheme`](crate::scheme::DvfsScheme) trait objects (see
 //! [`crate::scheme`]) and records one [`SchemeOutcome`] per registry entry.
-//! Nothing here knows which schemes exist — adding a fifth scheme to the
+//! Nothing here knows which schemes exist — adding a scheme to the
 //! comparison means implementing the trait and extending the registry, not
 //! editing this module.
 //!
-//! Batch evaluation now lives in the job-oriented
+//! Evaluations run through the job-oriented
 //! [`Evaluator`](crate::service::Evaluator) service ([`crate::service`]):
 //! build it once, submit `(benchmark, overrides)` jobs, and receive results
-//! as a stream of events. The blocking free functions [`evaluate_benchmark`]
-//! and [`evaluate_suite`] remain as deprecated shims over that service; the
-//! types here ([`EvaluationConfig`], [`BenchmarkEvaluation`], [`Summary`],
-//! …) are shared by both entry points.
+//! as a stream of events. This module holds the types the service consumes
+//! and produces ([`EvaluationConfig`], [`BenchmarkEvaluation`], [`Summary`],
+//! …) plus the baseline helpers the figure binaries use.
 
 use crate::artifact::ArtifactCache;
 use crate::error::McdError;
@@ -27,13 +26,12 @@ use crate::offline::OfflineConfig;
 use crate::online::OnlineConfig;
 use crate::pid::PidConfig;
 use crate::profile::TrainingConfig;
-use crate::scheme::{DvfsScheme, SchemeContext, SchemeOutcome};
+use crate::scheme::SchemeOutcome;
 use crate::sysscale::SysScaleConfig;
 use mcd_profiling::context::ContextPolicy;
 use mcd_sim::config::MachineConfig;
 use mcd_sim::simulator::{NullHooks, Simulator};
 use mcd_sim::stats::{RelativeMetrics, SimStats};
-use mcd_sim::trace::PackedTrace;
 use mcd_workloads::generator::generate_packed;
 use mcd_workloads::suite::Benchmark;
 use std::sync::Arc;
@@ -78,10 +76,11 @@ pub struct EvaluationConfig {
     /// learned table). Off by default so the paper's figures keep their
     /// four-scheme shape; the tournament harness turns it on.
     pub include_zoo: bool,
-    /// Worker-thread budget. One knob governs both parallel levels: suite
-    /// evaluation spreads *benchmarks* across threads, and the off-line
-    /// oracle's per-window analysis spreads *windows* across threads (see
-    /// [`EvaluationConfig::with_parallelism`] for how the budget is split).
+    /// Worker-thread budget. One knob governs both parallel levels: the
+    /// [`Evaluator`](crate::service::Evaluator) spreads *jobs* across
+    /// threads, and the off-line oracle's per-window analysis spreads
+    /// *windows* across threads (see [`EvaluationConfig::with_parallelism`]
+    /// for how the budget is split).
     /// Results are bit-identical for every value.
     pub parallelism: usize,
     /// Artifact cache shared by every scheme the registry configures: the
@@ -129,14 +128,14 @@ impl EvaluationConfig {
 
     /// Sets the worker-thread budget for both parallel levels.
     ///
-    /// One knob governs suite-level and intra-benchmark parallelism:
-    ///
-    /// * [`evaluate_suite`] spawns up to `parallelism` benchmark workers and
-    ///   hands each scheme the *remaining* budget
-    ///   (`parallelism / workers`, at least one) for its window-parallel
-    ///   analysis, so the two levels compose instead of multiplying.
-    /// * [`evaluate_benchmark`] has no suite level, so the full budget goes to
-    ///   the off-line oracle's per-window analysis stage.
+    /// One knob governs job-level and intra-benchmark parallelism: an
+    /// [`Evaluator`](crate::service::Evaluator) built from this config runs
+    /// `workers` job threads (by default the whole budget; see
+    /// [`EvaluatorBuilder::workers`](crate::service::EvaluatorBuilder::workers))
+    /// and hands each job the *remaining* budget (`parallelism / workers`, at
+    /// least one) for the off-line oracle's window-parallel analysis, so the
+    /// two levels compose instead of multiplying. One worker gives the whole
+    /// budget to window analysis.
     ///
     /// Every combination produces bit-identical results; the knob only trades
     /// wall-clock time.
@@ -202,149 +201,6 @@ pub fn run_baseline(bench: &Benchmark, machine: &MachineConfig) -> SimStats {
         .stats
 }
 
-/// Evaluates every scheme in `registry`, in order, on one benchmark.
-///
-/// The reference trace and the full-speed baseline are computed once and
-/// shared; each scheme sees the outcomes of the schemes before it through
-/// [`SchemeContext::prior`].
-pub fn evaluate_with_registry(
-    bench: &Benchmark,
-    machine: &MachineConfig,
-    registry: &[Box<dyn DvfsScheme>],
-) -> Result<BenchmarkEvaluation, McdError> {
-    let reference_trace = generate_packed(&bench.program, &bench.inputs.reference);
-
-    // Baseline MCD at full speed.
-    let baseline = Simulator::new(machine.clone())
-        .run(reference_trace.iter(), &mut NullHooks, false)
-        .stats;
-
-    let schemes = run_schemes(
-        bench,
-        machine,
-        registry,
-        &reference_trace,
-        &baseline,
-        |_| {},
-    )?;
-    Ok(BenchmarkEvaluation {
-        name: bench.name.to_string(),
-        baseline,
-        schemes,
-    })
-}
-
-/// Runs every scheme in `registry` against a precomputed reference trace and
-/// baseline, invoking `on_outcome` after each scheme finishes — the streaming
-/// core shared by [`evaluate_with_registry`] and the
-/// [`Evaluator`](crate::service::Evaluator) service (which turns the callback
-/// into `SchemeFinished` events).
-pub(crate) fn run_schemes(
-    bench: &Benchmark,
-    machine: &MachineConfig,
-    registry: &[Box<dyn DvfsScheme>],
-    reference_trace: &PackedTrace,
-    baseline: &SimStats,
-    mut on_outcome: impl FnMut(&SchemeOutcome),
-) -> Result<Vec<SchemeOutcome>, McdError> {
-    let mut outcomes: Vec<SchemeOutcome> = Vec::with_capacity(registry.len());
-    for scheme in registry {
-        let stats = {
-            let ctx = SchemeContext {
-                benchmark: bench,
-                machine,
-                reference_trace,
-                baseline,
-                prior: &outcomes,
-            };
-            scheme.run(&ctx)?
-        };
-        let outcome = SchemeOutcome {
-            name: scheme.name().to_string(),
-            label: scheme.label(),
-            result: SchemeResult::new(stats, baseline),
-        };
-        on_outcome(&outcome);
-        outcomes.push(outcome);
-    }
-    Ok(outcomes)
-}
-
-/// Evaluates the standard scheme registry on one benchmark.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `service::Evaluator` once and submit an `EvalJob` instead; \
-            this shim constructs a single-use service per call"
-)]
-pub fn evaluate_benchmark(
-    bench: &Benchmark,
-    config: &EvaluationConfig,
-) -> Result<BenchmarkEvaluation, McdError> {
-    // No suite level, so the whole thread budget flows to window analysis.
-    let evaluator = crate::service::Evaluator::builder()
-        .config(config.clone())
-        .workers(1)
-        .build();
-    let mut evals = evaluator
-        .submit(crate::service::EvalJob::new(bench.clone()))
-        .collect()?;
-    Ok(evals.remove(0))
-}
-
-/// Evaluates the standard registry on a list of benchmarks, spreading the
-/// work over [`EvaluationConfig::parallelism`] threads.
-///
-/// Each benchmark's evaluation is independent and deterministic, so the
-/// parallel result is bit-for-bit identical to the serial one; only wall-clock
-/// time changes.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `service::Evaluator` once and submit the benchmarks as \
-            `EvalJob`s instead; this shim constructs a single-use service per \
-            call, so baselines cannot be shared across calls"
-)]
-pub fn evaluate_suite(
-    benches: &[Benchmark],
-    config: &EvaluationConfig,
-) -> Result<Vec<BenchmarkEvaluation>, McdError> {
-    // Split the thread budget between the two levels exactly as before:
-    // `workers` benchmark threads, each with the leftover budget for
-    // window-parallel analysis (the builder computes `parallelism / workers`).
-    let workers = config.parallelism.max(1).min(benches.len().max(1));
-    let evaluator = crate::service::Evaluator::builder()
-        .config(config.clone())
-        .workers(workers)
-        .build();
-    let jobs = benches
-        .iter()
-        .map(|b| crate::service::EvalJob::new(b.clone()))
-        .collect();
-    evaluator.submit_all(jobs).collect()
-}
-
-/// Evaluates a single scheme on one benchmark against a precomputed baseline
-/// and reference trace (used by the context-sensitivity study of Figures 8
-/// and 9, which sweeps the profile scheme's policy over one shared trace —
-/// generate it once with [`generate_packed`] and pair it with
-/// [`run_trace_baseline`]).
-pub fn evaluate_scheme(
-    bench: &Benchmark,
-    machine: &MachineConfig,
-    reference_trace: &PackedTrace,
-    scheme: &dyn DvfsScheme,
-    baseline: &SimStats,
-) -> Result<SchemeResult, McdError> {
-    let ctx = SchemeContext {
-        benchmark: bench,
-        machine,
-        reference_trace,
-        baseline,
-        prior: &[],
-    };
-    let stats = scheme.run(&ctx)?;
-    Ok(SchemeResult::new(stats, baseline))
-}
-
 /// The MCD processor's inherent penalty versus a globally synchronous design
 /// (both at full speed): `(performance_penalty, energy_penalty)` as fractions.
 pub fn mcd_baseline_penalty(
@@ -390,29 +246,34 @@ impl Summary {
     }
 }
 
-/// Convenience wrapper: baseline + controlled statistics for an arbitrary
-/// externally produced run (used by the benchmark harness for ad-hoc
-/// comparisons).
-pub fn relative(stats: &SimStats, baseline: &SimStats) -> RelativeMetrics {
-    RelativeMetrics::relative_to(stats, baseline)
-}
-
-/// Runs an arbitrary trace at full speed on the given machine (helper for the
-/// harness and the examples).
-pub fn run_trace_baseline(trace: &PackedTrace, machine: &MachineConfig) -> SimStats {
-    Simulator::new(machine.clone())
-        .run(trace.iter(), &mut NullHooks, false)
-        .stats
-}
-
-// The deprecated shims must keep their historical behaviour until they are
-// removed, so the tests here exercise them on purpose.
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheme::names;
+    use crate::service::{EvalJob, Evaluator};
     use mcd_workloads::suite;
+
+    /// One benchmark through a fresh one-worker evaluator.
+    fn evaluate(bench: &Benchmark, config: &EvaluationConfig) -> BenchmarkEvaluation {
+        Evaluator::builder()
+            .config(config.clone())
+            .workers(1)
+            .build()
+            .submit(EvalJob::new(bench.clone()))
+            .collect()
+            .expect("evaluation succeeds")
+            .remove(0)
+    }
+
+    /// A suite through one evaluator with the config's whole thread budget.
+    fn evaluate_all(benches: &[Benchmark], config: &EvaluationConfig) -> Vec<BenchmarkEvaluation> {
+        Evaluator::builder()
+            .config(config.clone())
+            .build()
+            .submit_all(benches.iter().cloned().map(EvalJob::new).collect())
+            .collect()
+            .expect("suite evaluation succeeds")
+    }
 
     /// A reduced evaluation of one small benchmark exercises every scheme.
     #[test]
@@ -422,7 +283,7 @@ mod tests {
             include_global: true,
             ..EvaluationConfig::default()
         };
-        let eval = evaluate_benchmark(&bench, &config).expect("evaluation succeeds");
+        let eval = evaluate(&bench, &config);
 
         assert!(eval.baseline.instructions > 50_000);
         let offline = eval.metrics(names::OFFLINE).unwrap();
@@ -455,8 +316,7 @@ mod tests {
     #[test]
     fn evaluation_without_global_omits_it() {
         let bench = suite::benchmark("adpcm decode").expect("known benchmark");
-        let config = EvaluationConfig::default();
-        let eval = evaluate_benchmark(&bench, &config).expect("evaluation succeeds");
+        let eval = evaluate(&bench, &EvaluationConfig::default());
         assert_eq!(eval.schemes.len(), 3);
         assert!(eval.result(names::GLOBAL).is_none());
         assert!(matches!(
@@ -474,8 +334,8 @@ mod tests {
             .collect();
         let serial_cfg = EvaluationConfig::default();
         let parallel_cfg = EvaluationConfig::default().with_parallelism(4);
-        let serial = evaluate_suite(&benches, &serial_cfg).expect("serial evaluation");
-        let parallel = evaluate_suite(&benches, &parallel_cfg).expect("parallel evaluation");
+        let serial = evaluate_all(&benches, &serial_cfg);
+        let parallel = evaluate_all(&benches, &parallel_cfg);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.name, p.name);

@@ -25,15 +25,15 @@
 //!   table-driven policy learned offline from the profile pipeline's capture
 //!   artifacts (compared against the paper's schemes by the `tournament`
 //!   harness in `mcd-bench`);
-//! * [`scheme`] — the [`DvfsScheme`](scheme::DvfsScheme) trait unifying all
-//!   four control schemes behind one interface, plus the standard registry;
-//! * [`evaluation`] — the registry-driven pipeline that compares the schemes
-//!   per benchmark, producing the paper's metrics (performance degradation,
-//!   energy savings, energy·delay improvement);
-//! * [`service`] — the job-oriented [`Evaluator`](service::Evaluator)
-//!   service: build it once, submit `(benchmark, overrides)` jobs, share
-//!   memoized baselines across configurations, and stream per-scheme results
-//!   as events;
+//! * [`scheme`] — the [`DvfsScheme`](scheme::DvfsScheme) trait unifying every
+//!   control scheme behind one `prepare` method, plus the standard registry;
+//! * [`evaluation`] — the configuration and result types of a comparison,
+//!   producing the paper's metrics (performance degradation, energy savings,
+//!   energy·delay improvement);
+//! * [`service`] — the job-oriented [`Evaluator`](service::Evaluator), the
+//!   crate's one front door: build it once, submit `(benchmark, overrides)`
+//!   jobs, share memoized baselines across configurations, and stream
+//!   per-scheme results as events;
 //! * [`fault`] — the deterministic, seeded fault-injection layer that
 //!   chaos-tests the artifact store and the service (worker panics, torn
 //!   writes, I/O errors, lock stalls), plus the retry policy the store
@@ -81,11 +81,7 @@ pub mod threshold;
 pub use artifact::{ArtifactCache, ArtifactKey, CacheStats};
 pub use controller::{FrequencyTable, SettingStack};
 pub use error::{find_benchmark, run_main, McdError};
-#[allow(deprecated)]
-pub use evaluation::{evaluate_benchmark, evaluate_suite};
-pub use evaluation::{
-    evaluate_scheme, evaluate_with_registry, BenchmarkEvaluation, EvaluationConfig, SchemeResult,
-};
+pub use evaluation::{BenchmarkEvaluation, EvaluationConfig, SchemeResult};
 pub use fault::{FaultConfig, FaultPlan, FaultSite, FaultStats, RetryPolicy, RetryStats};
 pub use learned::{LearnedConfig, LearnedPolicy, LearnedTable};
 pub use offline::{run_offline, OfflineConfig, OfflineResult, OfflineSchedule};
@@ -95,8 +91,8 @@ pub use pipeline::AnalysisPipeline;
 pub use profile::{train, train_and_run, ProfileHooks, ProfilePlan, TrainingConfig};
 pub use scheme::{
     configured_registry, full_registry, standard_registry, subset_registry, DvfsScheme,
-    GlobalDvsScheme, LearnedScheme, OfflineScheme, OnlineScheme, PidScheme, ProfileScheme,
-    SchemeContext, SchemeOutcome, SchemeRegistry, SysScaleScheme,
+    GlobalDvsScheme, Lane, LearnedScheme, OfflineScheme, OnlineScheme, PidScheme, Pools, Prepared,
+    ProfileScheme, SchemeContext, SchemeOutcome, SchemeRegistry, SysScaleScheme,
 };
 pub use service::{
     EvalEvent, EvalJob, Evaluator, EvaluatorBuilder, JobId, MemoStats, ResultStream,

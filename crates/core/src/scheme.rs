@@ -7,12 +7,15 @@
 //! benchmark itself, the machine model, the pre-generated reference trace, the
 //! full-speed MCD baseline statistics, and the outcomes of schemes that ran
 //! earlier in the registry (the global-DVS baseline uses this to match the
-//! off-line oracle's run time). Schemes drive the shared simulator through
-//! [`SimHooks`] — [`SchemeContext::simulate`] is the common path — and report
-//! the controlled run's [`SimStats`].
+//! off-line oracle's run time). Every scheme does the same thing with it:
+//! [`DvfsScheme::prepare`] builds the controller — training, analysis and
+//! artifact lookups included — and hands back a [`Prepared`] lane; the
+//! [`Evaluator`](crate::service::Evaluator) then replays the reference trace
+//! under that lane, fused with every other lane of the same batch into one
+//! [`Simulator::run_lanes`](mcd_sim::simulator::Simulator::run_lanes) pass.
 
 use crate::artifact::{
-    self, ArtifactCache, ArtifactKey, TrainingArtifact, TrainingHistogramsArtifact,
+    self, codec, ArtifactCache, ArtifactKey, TrainingArtifact, TrainingHistogramsArtifact,
 };
 use crate::error::McdError;
 use crate::evaluation::{EvaluationConfig, SchemeResult};
@@ -22,17 +25,19 @@ use crate::learned::{LearnedConfig, LearnedPolicy, LearnedTable};
 use crate::offline::{OfflineConfig, OfflineSchedule};
 use crate::online::{OnlineConfig, OnlineController};
 use crate::pid::{PidConfig, PidController};
-use crate::pipeline::{schedule, threshold_windows, AnalysisPipeline};
+use crate::pipeline::schedule::ScheduleHooks;
+use crate::pipeline::{threshold_windows, AnalysisPipeline};
 use crate::profile::{
-    self, instrumentation_plan, train, train_with_histograms, ProfilePlan, TrainingConfig,
+    self, instrumentation_plan, train_with_histograms, ProfilePlan, TrainingConfig,
 };
 use crate::sysscale::{SysScaleConfig, SysScaleController};
+use mcd_profiling::edit::InstrumentationPlan;
 use mcd_sim::config::MachineConfig;
 use mcd_sim::simulator::{SimHooks, Simulator};
 use mcd_sim::stats::SimStats;
 use mcd_sim::trace::PackedTrace;
+use mcd_workloads::generator::generate_packed;
 use mcd_workloads::suite::Benchmark;
-use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -82,14 +87,6 @@ impl SchemeContext<'_> {
     pub fn prior_outcome(&self, name: &str) -> Option<&SchemeOutcome> {
         self.prior.iter().find(|o| o.name == name)
     }
-
-    /// Runs the reference trace under `hooks` on the shared machine model —
-    /// the common controlled-simulation path every scheme uses.
-    pub fn simulate(&self, hooks: &mut dyn SimHooks) -> SimStats {
-        Simulator::new(self.machine.clone())
-            .run(self.reference_trace.iter(), hooks, false)
-            .stats
-    }
 }
 
 /// The result of one scheme on one benchmark, tagged with the scheme identity.
@@ -103,12 +100,191 @@ pub struct SchemeOutcome {
     pub result: SchemeResult,
 }
 
+/// The state one simulation lane needs, owned for the length of a batch.
+///
+/// Closures returning a fresh controller are lanes, which covers every
+/// scheme whose hooks own their state; a lane whose hooks borrow (a schedule,
+/// a profile plan) implements the trait on the type that owns the borrowed
+/// data.
+pub trait Lane {
+    /// Fresh hooks for one controlled run of the reference trace.
+    fn hooks(&self) -> Box<dyn SimHooks + '_>;
+}
+
+impl<F, H> Lane for F
+where
+    F: Fn() -> H,
+    H: SimHooks + 'static,
+{
+    fn hooks(&self) -> Box<dyn SimHooks + '_> {
+        Box::new(self())
+    }
+}
+
+impl Lane for ProfilePlan {
+    fn hooks(&self) -> Box<dyn SimHooks + '_> {
+        Box::new(ProfilePlan::hooks(self))
+    }
+}
+
+/// The off-line oracle's lane: a per-window schedule and its window length.
+struct ScheduleLane {
+    schedule: OfflineSchedule,
+    window_instructions: u64,
+}
+
+impl Lane for ScheduleLane {
+    fn hooks(&self) -> Box<dyn SimHooks + '_> {
+        Box::new(ScheduleHooks::new(&self.schedule, self.window_instructions))
+    }
+}
+
+/// What [`DvfsScheme::prepare`] hands the executor for one benchmark.
+pub enum Prepared {
+    /// One lane of the batch's fused replay of the reference trace.
+    Lane(Box<dyn Lane>),
+    /// Statistics the scheme produced with runs of its own — global DVS's
+    /// two-pass frequency refinement, whose second pass depends on the first.
+    Finished(SimStats),
+}
+
+impl Prepared {
+    /// Boxes `lane` as a [`Prepared::Lane`].
+    pub fn lane(lane: impl Lane + 'static) -> Self {
+        Prepared::Lane(Box::new(lane))
+    }
+}
+
+impl fmt::Debug for Prepared {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Prepared::Lane(_) => f.write_str("Lane"),
+            Prepared::Finished(stats) => f.debug_tuple("Finished").field(stats).finish(),
+        }
+    }
+}
+
+/// The in-memory artifact pools one batch shares across its members (and
+/// their schemes): per-window oracle histograms, per-region training
+/// histograms (one entry feeds both the profile and the learned scheme), and
+/// instrumentation plans. Members whose configurations differ only in the
+/// slowdown target pay for one capture, DAG and shaker pass between them,
+/// whether or not an on-disk cache is enabled.
+///
+/// Every artifact the pools compute goes through the on-disk cache's
+/// single-writer publication ladder (`ArtifactCache::publish`) first; the
+/// derived artifacts (schedules, frequency tables) are computed inside their
+/// own ladder, so locks are always taken derived key → histograms key.
+#[derive(Debug, Default)]
+pub struct Pools {
+    window_histograms: HashMap<ArtifactKey, Vec<Option<RegionHistograms>>>,
+    training_histograms: HashMap<ArtifactKey, TrainingHistogramsArtifact>,
+    instrumentation: HashMap<ArtifactKey, InstrumentationPlan>,
+}
+
+impl Pools {
+    /// The off-line analysis's per-window histograms (slowdown-free): the
+    /// capture, DAG and shaker stages of the pipeline.
+    fn window_histograms(
+        &mut self,
+        cache: &ArtifactCache,
+        ctx: &SchemeContext<'_>,
+        config: &OfflineConfig,
+        parallelism: usize,
+    ) -> &[Option<RegionHistograms>] {
+        let key = artifact::window_histograms_key(
+            ctx.benchmark.name,
+            &ctx.benchmark.inputs.reference,
+            ctx.reference_trace.len() as u64,
+            ctx.machine,
+            config,
+        );
+        let grid = &ctx.machine.grid;
+        self.window_histograms.entry(key).or_insert_with_key(|key| {
+            cache.publish(
+                key,
+                |bytes| codec::decode_window_histograms(bytes, grid),
+                |windows| codec::encode_window_histograms(windows, grid.len()),
+                || {
+                    AnalysisPipeline::new(*config)
+                        .with_parallelism(parallelism)
+                        .analyze_with_histograms(
+                            &Simulator::new(ctx.machine.clone()),
+                            ctx.reference_trace,
+                        )
+                        .1
+                },
+            )
+        })
+    }
+
+    /// The training run's per-region histograms (slowdown-free). A recording
+    /// run also leaves its instrumentation plan in the pool.
+    fn training_histograms(
+        &mut self,
+        cache: &ArtifactCache,
+        ctx: &SchemeContext<'_>,
+        config: &TrainingConfig,
+    ) -> &TrainingHistogramsArtifact {
+        let grid = &ctx.machine.grid;
+        let instrumentation = &mut self.instrumentation;
+        self.training_histograms
+            .entry(training_key(ctx, config))
+            .or_insert_with_key(|key| {
+                cache.publish(
+                    key,
+                    |bytes| codec::decode_training_histograms(bytes, grid),
+                    |artifact| codec::encode_training_histograms(artifact, grid.len()),
+                    || {
+                        let (plan, entries) = train_with_histograms(
+                            &ctx.benchmark.program,
+                            &ctx.benchmark.inputs.training,
+                            ctx.machine,
+                            config,
+                        );
+                        instrumentation.insert(*key, plan.instrumentation);
+                        TrainingHistogramsArtifact::from_entries(entries, plan.training_stats)
+                    },
+                )
+            })
+    }
+
+    /// The profile scheme's instrumentation plan: the cheap, deterministic
+    /// phase 1 of training, whose node keys match the ones any cached
+    /// frequency table was recorded under.
+    fn instrumentation(
+        &mut self,
+        ctx: &SchemeContext<'_>,
+        config: &TrainingConfig,
+    ) -> InstrumentationPlan {
+        self.instrumentation
+            .entry(training_key(ctx, config))
+            .or_insert_with(|| {
+                let trace = generate_packed(&ctx.benchmark.program, &ctx.benchmark.inputs.training);
+                instrumentation_plan(&trace, config)
+            })
+            .clone()
+    }
+}
+
+/// The slowdown-free identity of a training run.
+fn training_key(ctx: &SchemeContext<'_>, config: &TrainingConfig) -> ArtifactKey {
+    artifact::training_histograms_key(
+        ctx.benchmark.name,
+        &ctx.benchmark.inputs.training,
+        ctx.machine,
+        config,
+    )
+}
+
 /// One DVFS control scheme in the paper's comparison.
 ///
 /// Implementations are registered in a `Vec<Box<dyn DvfsScheme>>` and run in
-/// order by [`crate::evaluation::evaluate_with_registry`]; schemes whose
+/// order by the [`Evaluator`](crate::service::Evaluator); schemes whose
 /// definition depends on another scheme's result (global DVS matches the
-/// off-line run time) read it from [`SchemeContext::prior`].
+/// off-line run time) read it from [`SchemeContext::prior`]. Adding a scheme
+/// means implementing [`DvfsScheme::prepare`] and registering it — the
+/// executor batches it like every other scheme.
 pub trait DvfsScheme: fmt::Debug + Send + Sync {
     /// Canonical machine-readable name, unique within a registry.
     fn name(&self) -> &'static str;
@@ -125,20 +301,10 @@ pub trait DvfsScheme: fmt::Debug + Send + Sync {
         Ok(())
     }
 
-    /// Evaluates the scheme on one benchmark, returning the controlled run's
-    /// statistics. Implementations normally build their [`SimHooks`] and call
-    /// [`SchemeContext::simulate`].
-    fn run(&self, ctx: &SchemeContext<'_>) -> Result<SimStats, McdError>;
-
-    /// The scheme as [`Any`], for schemes that support batched (multi-lane)
-    /// execution in the [`Evaluator`](crate::service::Evaluator): the batch
-    /// worker downcasts to the concrete type to prepare one simulation lane
-    /// per batch member. The default (`None`) makes the scheme run serially
-    /// inside a batch, which is always correct — batching is purely a
-    /// wall-clock optimization.
-    fn as_any(&self) -> Option<&dyn Any> {
-        None
-    }
+    /// Builds the scheme's controller for one benchmark. Expensive shared
+    /// inputs (analysis histograms, training runs) come from `pools`, so
+    /// batch members that agree on them compute them once.
+    fn prepare(&self, ctx: &SchemeContext<'_>, pools: &mut Pools) -> Result<Prepared, McdError>;
 }
 
 /// The off-line oracle scheme (perfect knowledge of the reference run).
@@ -186,32 +352,10 @@ impl DvfsScheme for OfflineScheme {
         Ok(())
     }
 
-    fn run(&self, ctx: &SchemeContext<'_>) -> Result<SimStats, McdError> {
-        // One simulator serves the capture (on a cache miss) and the replay.
-        let simulator = Simulator::new(ctx.machine.clone());
-        let schedule = self.schedule_for(ctx, &simulator);
-        Ok(schedule::replay_with(
-            &simulator,
-            ctx.reference_trace,
-            &schedule,
-            self.config.window_instructions.max(1),
-        ))
-    }
-
-    fn as_any(&self) -> Option<&dyn Any> {
-        Some(self)
-    }
-}
-
-impl OfflineScheme {
-    /// Obtains the per-window schedule with a three-level fallback:
-    ///
-    /// 1. a cached schedule for this exact config replays directly;
-    /// 2. cached per-window histograms (keyed *without* the slowdown target)
-    ///    re-threshold in microseconds — a slowdown-only sweep point skips
-    ///    capture, DAG construction, and shaking entirely;
-    /// 3. otherwise the full pipeline runs, persisting both artifacts.
-    fn schedule_for(&self, ctx: &SchemeContext<'_>, simulator: &Simulator) -> OfflineSchedule {
+    /// The schedule comes from the cache, else from thresholding the
+    /// per-window histograms — so a slowdown-only sweep point skips capture,
+    /// DAG construction and shaking entirely.
+    fn prepare(&self, ctx: &SchemeContext<'_>, pools: &mut Pools) -> Result<Prepared, McdError> {
         let key = artifact::offline_schedule_key(
             ctx.benchmark.name,
             &ctx.benchmark.inputs.reference,
@@ -219,116 +363,17 @@ impl OfflineScheme {
             ctx.machine,
             &self.config,
         );
-        if let Some(schedule) = self.cache.load_schedule(&key) {
-            return schedule;
-        }
-        if !self.cache.is_enabled() {
-            // No cache to feed: skip histogram collection on the capture path.
-            return AnalysisPipeline::new(self.config)
-                .with_parallelism(self.parallelism)
-                .analyze_with(simulator, ctx.reference_trace);
-        }
-        // Single-writer publication: lock the schedule key, then re-check —
-        // a concurrent process may have published it while we waited. Every
-        // store below happens under a lock after a confirmed miss, so N cold
-        // processes sharing this cache write each key exactly once.
-        let _schedule_lock = self.cache.lock_publication(&key);
-        if let Some(schedule) = self.cache.recheck_schedule(&key) {
-            return schedule;
-        }
-        let grid = &ctx.machine.grid;
-        let histograms_key = artifact::window_histograms_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.reference,
-            ctx.reference_trace.len() as u64,
-            ctx.machine,
-            &self.config,
-        );
-        if let Some(windows) = self.cache.load_window_histograms(&histograms_key, grid) {
-            let schedule = threshold_windows(&windows, self.config.slowdown, grid);
-            self.cache.store_schedule(&key, &schedule);
-            return schedule;
-        }
-        // Lock order is always schedule key → histograms key, so concurrent
-        // sweep points (distinct schedule keys, one shared histograms key)
-        // cannot deadlock.
-        let _histograms_lock = self.cache.lock_publication(&histograms_key);
-        if let Some(windows) = self.cache.recheck_window_histograms(&histograms_key, grid) {
-            let schedule = threshold_windows(&windows, self.config.slowdown, grid);
-            self.cache.store_schedule(&key, &schedule);
-            return schedule;
-        }
-        let (schedule, windows, _) = AnalysisPipeline::new(self.config)
-            .with_parallelism(self.parallelism)
-            .analyze_with_histograms(simulator, ctx.reference_trace);
-        self.cache
-            .store_window_histograms(&histograms_key, &windows, grid);
-        self.cache.store_schedule(&key, &schedule);
-        schedule
-    }
-
-    /// [`OfflineScheme::schedule_for`] with an additional in-memory histogram
-    /// pool shared across the members of one batch: members whose configs
-    /// differ only in the slowdown target share one capture/DAG/shaker pass
-    /// even when the on-disk cache is disabled. The resulting schedules are
-    /// bit-identical to [`OfflineScheme::schedule_for`]'s.
-    pub(crate) fn schedule_for_batched(
-        &self,
-        ctx: &SchemeContext<'_>,
-        simulator: &Simulator,
-        pool: &mut HashMap<ArtifactKey, Arc<Vec<Option<RegionHistograms>>>>,
-    ) -> OfflineSchedule {
-        let key = artifact::offline_schedule_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.reference,
-            ctx.reference_trace.len() as u64,
-            ctx.machine,
-            &self.config,
-        );
-        if let Some(schedule) = self.cache.load_schedule(&key) {
-            return schedule;
-        }
-        // Same single-writer publication protocol (and lock order) as
-        // `schedule_for`; for a disabled cache the lock degenerates to `None`
-        // and the loads/stores below to no-ops, leaving the pool sharing.
-        let _schedule_lock = self.cache.lock_publication(&key);
-        if let Some(schedule) = self.cache.recheck_schedule(&key) {
-            return schedule;
-        }
-        let grid = &ctx.machine.grid;
-        let histograms_key = artifact::window_histograms_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.reference,
-            ctx.reference_trace.len() as u64,
-            ctx.machine,
-            &self.config,
-        );
-        if let Some(windows) = pool.get(&histograms_key) {
-            let schedule = threshold_windows(windows, self.config.slowdown, grid);
-            self.cache.store_schedule(&key, &schedule);
-            return schedule;
-        }
-        if let Some(windows) = self.cache.load_window_histograms(&histograms_key, grid) {
-            let schedule = threshold_windows(&windows, self.config.slowdown, grid);
-            pool.insert(histograms_key, Arc::new(windows));
-            self.cache.store_schedule(&key, &schedule);
-            return schedule;
-        }
-        let _histograms_lock = self.cache.lock_publication(&histograms_key);
-        if let Some(windows) = self.cache.recheck_window_histograms(&histograms_key, grid) {
-            let schedule = threshold_windows(&windows, self.config.slowdown, grid);
-            pool.insert(histograms_key, Arc::new(windows));
-            self.cache.store_schedule(&key, &schedule);
-            return schedule;
-        }
-        let (schedule, windows, _) = AnalysisPipeline::new(self.config)
-            .with_parallelism(self.parallelism)
-            .analyze_with_histograms(simulator, ctx.reference_trace);
-        self.cache
-            .store_window_histograms(&histograms_key, &windows, grid);
-        self.cache.store_schedule(&key, &schedule);
-        pool.insert(histograms_key, Arc::new(windows));
-        schedule
+        let schedule =
+            self.cache
+                .publish(&key, codec::decode_schedule, codec::encode_schedule, || {
+                    let windows =
+                        pools.window_histograms(&self.cache, ctx, &self.config, self.parallelism);
+                    threshold_windows(windows, self.config.slowdown, &ctx.machine.grid)
+                });
+        Ok(Prepared::lane(ScheduleLane {
+            schedule,
+            window_instructions: self.config.window_instructions,
+        }))
     }
 }
 
@@ -353,14 +398,9 @@ impl DvfsScheme for OnlineScheme {
         Ok(())
     }
 
-    fn run(&self, ctx: &SchemeContext<'_>) -> Result<SimStats, McdError> {
-        // A fresh controller per run keeps evaluations order-independent.
-        let mut controller = OnlineController::new(self.config);
-        Ok(ctx.simulate(&mut controller))
-    }
-
-    fn as_any(&self) -> Option<&dyn Any> {
-        Some(self)
+    fn prepare(&self, _: &SchemeContext<'_>, _: &mut Pools) -> Result<Prepared, McdError> {
+        let config = self.config;
+        Ok(Prepared::lane(move || OnlineController::new(config)))
     }
 }
 
@@ -388,271 +428,6 @@ impl Default for ProfileScheme {
     }
 }
 
-impl ProfileScheme {
-    /// Obtains the training plan with a three-level fallback:
-    ///
-    /// 1. a cached frequency table for this exact config rebuilds the cheap
-    ///    instrumentation plan around it;
-    /// 2. cached per-key training histograms (keyed *without* the slowdown
-    ///    target) re-threshold the table in microseconds — a slowdown-only
-    ///    sweep point skips the recording run and the shaker;
-    /// 3. otherwise training runs in full, persisting both artifacts.
-    fn plan_for(&self, ctx: &SchemeContext<'_>) -> ProfilePlan {
-        let key = artifact::training_plan_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.config,
-        );
-        if let Some(cached) = self.cache.load_training(&key) {
-            // Rebuild the cheap, deterministic phase-1 plan; the node keys it
-            // assigns match the ones the cached table was recorded under.
-            let trace = mcd_workloads::generator::generate_packed(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-            );
-            return ProfilePlan {
-                instrumentation: instrumentation_plan(&trace, &self.config),
-                table: cached.to_table(),
-                training_stats: cached.training_stats,
-            };
-        }
-        if self.cache.is_enabled() {
-            // Single-writer publication, lock order plan key → histograms
-            // key (mirroring the off-line scheme's schedule → histograms).
-            let _plan_lock = self.cache.lock_publication(&key);
-            if let Some(cached) = self.cache.recheck_training(&key) {
-                let trace = mcd_workloads::generator::generate_packed(
-                    &ctx.benchmark.program,
-                    &ctx.benchmark.inputs.training,
-                );
-                return ProfilePlan {
-                    instrumentation: instrumentation_plan(&trace, &self.config),
-                    table: cached.to_table(),
-                    training_stats: cached.training_stats,
-                };
-            }
-            let grid = &ctx.machine.grid;
-            let histograms_key = artifact::training_histograms_key(
-                ctx.benchmark.name,
-                &ctx.benchmark.inputs.training,
-                ctx.machine,
-                &self.config,
-            );
-            if let Some(cached) = self.cache.load_training_histograms(&histograms_key, grid) {
-                let trace = mcd_workloads::generator::generate_packed(
-                    &ctx.benchmark.program,
-                    &ctx.benchmark.inputs.training,
-                );
-                let plan = ProfilePlan {
-                    instrumentation: instrumentation_plan(&trace, &self.config),
-                    table: profile::threshold_table(&cached.entries, self.config.slowdown, grid),
-                    training_stats: cached.training_stats,
-                };
-                self.cache.store_training(
-                    &key,
-                    &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-                );
-                return plan;
-            }
-            let _histograms_lock = self.cache.lock_publication(&histograms_key);
-            if let Some(cached) = self
-                .cache
-                .recheck_training_histograms(&histograms_key, grid)
-            {
-                let trace = mcd_workloads::generator::generate_packed(
-                    &ctx.benchmark.program,
-                    &ctx.benchmark.inputs.training,
-                );
-                let plan = ProfilePlan {
-                    instrumentation: instrumentation_plan(&trace, &self.config),
-                    table: profile::threshold_table(&cached.entries, self.config.slowdown, grid),
-                    training_stats: cached.training_stats,
-                };
-                self.cache.store_training(
-                    &key,
-                    &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-                );
-                return plan;
-            }
-            let (plan, entries) = train_with_histograms(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-                ctx.machine,
-                &self.config,
-            );
-            self.cache.store_training_histograms(
-                &histograms_key,
-                &TrainingHistogramsArtifact::from_entries(entries, plan.training_stats.clone()),
-                grid,
-            );
-            self.cache.store_training(
-                &key,
-                &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-            );
-            return plan;
-        }
-        let plan = train(
-            &ctx.benchmark.program,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.config,
-        );
-        self.cache.store_training(
-            &key,
-            &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-        );
-        plan
-    }
-
-    /// [`ProfileScheme::plan_for`] with an additional in-memory pool shared
-    /// across the members of one batch: members whose configs differ only in
-    /// the slowdown target share one recording run, shaker pass, and
-    /// instrumentation plan even when the on-disk cache is disabled. The
-    /// resulting plans are bit-identical to [`ProfileScheme::plan_for`]'s.
-    pub(crate) fn plan_for_batched(
-        &self,
-        ctx: &SchemeContext<'_>,
-        pool: &mut HashMap<ArtifactKey, SharedTraining>,
-    ) -> ProfilePlan {
-        let key = artifact::training_plan_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.config,
-        );
-        if let Some(cached) = self.cache.load_training(&key) {
-            let trace = mcd_workloads::generator::generate_packed(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-            );
-            return ProfilePlan {
-                instrumentation: instrumentation_plan(&trace, &self.config),
-                table: cached.to_table(),
-                training_stats: cached.training_stats,
-            };
-        }
-        // Single-writer publication, same plan → histograms lock order as
-        // `plan_for`. A disabled cache yields `None` guards and no-op stores.
-        let _plan_lock = self.cache.lock_publication(&key);
-        if let Some(cached) = self.cache.recheck_training(&key) {
-            let trace = mcd_workloads::generator::generate_packed(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-            );
-            return ProfilePlan {
-                instrumentation: instrumentation_plan(&trace, &self.config),
-                table: cached.to_table(),
-                training_stats: cached.training_stats,
-            };
-        }
-        let grid = &ctx.machine.grid;
-        let histograms_key = artifact::training_histograms_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.config,
-        );
-        if let Some(shared) = pool.get(&histograms_key) {
-            let plan = ProfilePlan {
-                instrumentation: shared.instrumentation.clone(),
-                table: profile::threshold_table(
-                    &shared.artifact.entries,
-                    self.config.slowdown,
-                    grid,
-                ),
-                training_stats: shared.artifact.training_stats.clone(),
-            };
-            self.cache.store_training(
-                &key,
-                &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-            );
-            return plan;
-        }
-        if let Some(artifact) = self.cache.load_training_histograms(&histograms_key, grid) {
-            let trace = mcd_workloads::generator::generate_packed(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-            );
-            let plan = ProfilePlan {
-                instrumentation: instrumentation_plan(&trace, &self.config),
-                table: profile::threshold_table(&artifact.entries, self.config.slowdown, grid),
-                training_stats: artifact.training_stats.clone(),
-            };
-            pool.insert(
-                histograms_key,
-                SharedTraining {
-                    instrumentation: plan.instrumentation.clone(),
-                    artifact: Arc::new(artifact),
-                },
-            );
-            self.cache.store_training(
-                &key,
-                &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-            );
-            return plan;
-        }
-        let _histograms_lock = self.cache.lock_publication(&histograms_key);
-        if let Some(artifact) = self
-            .cache
-            .recheck_training_histograms(&histograms_key, grid)
-        {
-            let trace = mcd_workloads::generator::generate_packed(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-            );
-            let plan = ProfilePlan {
-                instrumentation: instrumentation_plan(&trace, &self.config),
-                table: profile::threshold_table(&artifact.entries, self.config.slowdown, grid),
-                training_stats: artifact.training_stats.clone(),
-            };
-            pool.insert(
-                histograms_key,
-                SharedTraining {
-                    instrumentation: plan.instrumentation.clone(),
-                    artifact: Arc::new(artifact),
-                },
-            );
-            self.cache.store_training(
-                &key,
-                &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-            );
-            return plan;
-        }
-        let (plan, entries) = train_with_histograms(
-            &ctx.benchmark.program,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.config,
-        );
-        let artifact =
-            TrainingHistogramsArtifact::from_entries(entries, plan.training_stats.clone());
-        self.cache
-            .store_training_histograms(&histograms_key, &artifact, grid);
-        self.cache.store_training(
-            &key,
-            &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-        );
-        pool.insert(
-            histograms_key,
-            SharedTraining {
-                instrumentation: plan.instrumentation.clone(),
-                artifact: Arc::new(artifact),
-            },
-        );
-        plan
-    }
-}
-
-/// One batch's in-memory share of profile training: the (slowdown-free)
-/// histograms artifact plus the instrumentation plan, both identical for
-/// every batch member whose `training_histograms_key` matches.
-#[derive(Debug, Clone)]
-pub(crate) struct SharedTraining {
-    pub(crate) instrumentation: mcd_profiling::edit::InstrumentationPlan,
-    pub(crate) artifact: Arc<TrainingHistogramsArtifact>,
-}
-
 impl DvfsScheme for ProfileScheme {
     fn name(&self) -> &'static str {
         names::PROFILE
@@ -668,14 +443,32 @@ impl DvfsScheme for ProfileScheme {
         Ok(())
     }
 
-    fn run(&self, ctx: &SchemeContext<'_>) -> Result<SimStats, McdError> {
-        let plan = self.plan_for(ctx);
-        let mut hooks = plan.hooks();
-        Ok(ctx.simulate(&mut hooks))
-    }
-
-    fn as_any(&self) -> Option<&dyn Any> {
-        Some(self)
+    /// The frequency table comes from the cache, else from thresholding the
+    /// training histograms — so a slowdown-only sweep point skips the
+    /// recording run and the shaker.
+    fn prepare(&self, ctx: &SchemeContext<'_>, pools: &mut Pools) -> Result<Prepared, McdError> {
+        let key = artifact::training_plan_key(
+            ctx.benchmark.name,
+            &ctx.benchmark.inputs.training,
+            ctx.machine,
+            &self.config,
+        );
+        let training =
+            self.cache
+                .publish(&key, codec::decode_training, codec::encode_training, || {
+                    let histograms = pools.training_histograms(&self.cache, ctx, &self.config);
+                    let table = profile::threshold_table(
+                        &histograms.entries,
+                        self.config.slowdown,
+                        &ctx.machine.grid,
+                    );
+                    TrainingArtifact::from_table(&table, histograms.training_stats.clone())
+                });
+        Ok(Prepared::lane(ProfilePlan {
+            instrumentation: pools.instrumentation(ctx, &self.config),
+            table: training.to_table(),
+            training_stats: training.training_stats,
+        }))
     }
 }
 
@@ -704,7 +497,7 @@ impl DvfsScheme for GlobalDvsScheme {
         "global".to_string()
     }
 
-    fn run(&self, ctx: &SchemeContext<'_>) -> Result<SimStats, McdError> {
+    fn prepare(&self, ctx: &SchemeContext<'_>, _: &mut Pools) -> Result<Prepared, McdError> {
         let matched =
             ctx.prior_outcome(self.match_scheme)
                 .ok_or_else(|| McdError::MissingDependency {
@@ -717,7 +510,7 @@ impl DvfsScheme for GlobalDvsScheme {
             ctx.baseline.run_time.as_ns(),
             matched.result.stats.run_time.as_ns(),
         );
-        Ok(result.stats)
+        Ok(Prepared::Finished(result.stats))
     }
 }
 
@@ -738,14 +531,9 @@ impl DvfsScheme for PidScheme {
         Ok(())
     }
 
-    fn run(&self, ctx: &SchemeContext<'_>) -> Result<SimStats, McdError> {
-        // A fresh controller per run keeps evaluations order-independent.
-        let mut controller = PidController::new(self.config);
-        Ok(ctx.simulate(&mut controller))
-    }
-
-    fn as_any(&self) -> Option<&dyn Any> {
-        Some(self)
+    fn prepare(&self, _: &SchemeContext<'_>, _: &mut Pools) -> Result<Prepared, McdError> {
+        let config = self.config;
+        Ok(Prepared::lane(move || PidController::new(config)))
     }
 }
 
@@ -766,17 +554,13 @@ impl DvfsScheme for SysScaleScheme {
         Ok(())
     }
 
-    fn run(&self, ctx: &SchemeContext<'_>) -> Result<SimStats, McdError> {
-        let mut controller = SysScaleController::new(
-            self.config,
-            ctx.machine.grid.clone(),
-            ctx.machine.voltage_map.clone(),
-        );
-        Ok(ctx.simulate(&mut controller))
-    }
-
-    fn as_any(&self) -> Option<&dyn Any> {
-        Some(self)
+    fn prepare(&self, ctx: &SchemeContext<'_>, _: &mut Pools) -> Result<Prepared, McdError> {
+        let config = self.config;
+        let grid = ctx.machine.grid.clone();
+        let voltage = ctx.machine.voltage_map.clone();
+        Ok(Prepared::lane(move || {
+            SysScaleController::new(config, grid.clone(), voltage.clone())
+        }))
     }
 }
 
@@ -784,10 +568,12 @@ impl DvfsScheme for SysScaleScheme {
 ///
 /// Training reuses the profile pipeline's capture artifacts: the per-region
 /// histograms recorded on the training input (the slowdown-free
-/// `training_histograms` cache entry the profile scheme also feeds on) are
+/// `training_histograms` artifact the profile scheme also feeds on) are
 /// turned into a feature → frequency lookup table. A warm cache makes
 /// training a pure table rebuild; a cold run records once and publishes the
-/// artifact for the profile scheme to reuse, and vice versa.
+/// artifact for the profile scheme to reuse, and vice versa. The table is
+/// always built from the artifact's canonicalized entry order, so cached and
+/// freshly-recorded tables are bit-identical.
 #[derive(Debug, Clone)]
 pub struct LearnedScheme {
     /// Table-policy parameters (feature quantization, slowdown target).
@@ -810,84 +596,6 @@ impl Default for LearnedScheme {
     }
 }
 
-impl LearnedScheme {
-    /// Obtains the trained lookup table: a cached histograms artifact rebuilds
-    /// the table in microseconds; otherwise the profile pipeline's recording
-    /// run captures the histograms (publishing them for the profile scheme to
-    /// reuse) and the table is trained from the fresh capture. The table is
-    /// always built from the artifact's canonicalized entry order, so cached
-    /// and freshly-recorded tables are bit-identical.
-    fn table_for(&self, ctx: &SchemeContext<'_>) -> LearnedTable {
-        let grid = &ctx.machine.grid;
-        let key = artifact::training_histograms_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.training,
-        );
-        if let Some(cached) = self.cache.load_training_histograms(&key, grid) {
-            return LearnedTable::from_training(&cached.entries, &self.config, grid);
-        }
-        // Single-writer publication on the shared histograms key (no-op
-        // guards for a disabled cache), mirroring the profile scheme.
-        let _lock = self.cache.lock_publication(&key);
-        if let Some(cached) = self.cache.recheck_training_histograms(&key, grid) {
-            return LearnedTable::from_training(&cached.entries, &self.config, grid);
-        }
-        let (plan, entries) = train_with_histograms(
-            &ctx.benchmark.program,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.training,
-        );
-        let artifact = TrainingHistogramsArtifact::from_entries(entries, plan.training_stats);
-        self.cache.store_training_histograms(&key, &artifact, grid);
-        LearnedTable::from_training(&artifact.entries, &self.config, grid)
-    }
-
-    /// [`LearnedScheme::table_for`] with an in-memory pool shared across the
-    /// members of one batch, so members sharing a `training_histograms_key`
-    /// pay for at most one recording run even with the cache disabled.
-    pub(crate) fn table_for_batched(
-        &self,
-        ctx: &SchemeContext<'_>,
-        pool: &mut HashMap<ArtifactKey, Arc<TrainingHistogramsArtifact>>,
-    ) -> LearnedTable {
-        let grid = &ctx.machine.grid;
-        let key = artifact::training_histograms_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.training,
-        );
-        if let Some(shared) = pool.get(&key) {
-            return LearnedTable::from_training(&shared.entries, &self.config, grid);
-        }
-        if let Some(cached) = self.cache.load_training_histograms(&key, grid) {
-            let table = LearnedTable::from_training(&cached.entries, &self.config, grid);
-            pool.insert(key, Arc::new(cached));
-            return table;
-        }
-        let _lock = self.cache.lock_publication(&key);
-        if let Some(cached) = self.cache.recheck_training_histograms(&key, grid) {
-            let table = LearnedTable::from_training(&cached.entries, &self.config, grid);
-            pool.insert(key, Arc::new(cached));
-            return table;
-        }
-        let (plan, entries) = train_with_histograms(
-            &ctx.benchmark.program,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.training,
-        );
-        let artifact = TrainingHistogramsArtifact::from_entries(entries, plan.training_stats);
-        self.cache.store_training_histograms(&key, &artifact, grid);
-        let table = LearnedTable::from_training(&artifact.entries, &self.config, grid);
-        pool.insert(key, Arc::new(artifact));
-        table
-    }
-}
-
 impl DvfsScheme for LearnedScheme {
     fn name(&self) -> &'static str {
         names::LEARNED
@@ -900,21 +608,21 @@ impl DvfsScheme for LearnedScheme {
         Ok(())
     }
 
-    fn run(&self, ctx: &SchemeContext<'_>) -> Result<SimStats, McdError> {
-        let table = self.table_for(ctx);
-        let mut policy = LearnedPolicy::new(&self.config, table);
-        Ok(ctx.simulate(&mut policy))
-    }
-
-    fn as_any(&self) -> Option<&dyn Any> {
-        Some(self)
+    fn prepare(&self, ctx: &SchemeContext<'_>, pools: &mut Pools) -> Result<Prepared, McdError> {
+        let histograms = pools.training_histograms(&self.cache, ctx, &self.training);
+        let table =
+            LearnedTable::from_training(&histograms.entries, &self.config, &ctx.machine.grid);
+        let config = self.config;
+        Ok(Prepared::lane(move || {
+            LearnedPolicy::new(&config, table.clone())
+        }))
     }
 }
 
 /// An ordered scheme registry that rejects duplicate names — the same
 /// shadowing protection [`mcd_workloads::suite::Registry`] applies to
 /// benchmark names, applied to schemes. Names are the identity the
-/// evaluator's batch families, result tables, and lookups key on, so a
+/// evaluator's batch passes, result tables, and lookups key on, so a
 /// second registration under an existing name is an
 /// [`McdError::DuplicateScheme`] instead of a silent shadow.
 #[derive(Debug, Default)]
@@ -957,8 +665,7 @@ impl SchemeRegistry {
         self.schemes.iter().map(|s| s.name()).collect()
     }
 
-    /// Consumes the registry, yielding the schemes in registration order for
-    /// [`crate::evaluation::evaluate_with_registry`].
+    /// Consumes the registry, yielding the schemes in registration order.
     pub fn into_schemes(self) -> Vec<Box<dyn DvfsScheme>> {
         self.schemes
     }
@@ -1155,7 +862,9 @@ mod tests {
             baseline: &baseline,
             prior: &[],
         };
-        let err = GlobalDvsScheme::default().run(&ctx).unwrap_err();
+        let err = GlobalDvsScheme::default()
+            .prepare(&ctx, &mut Pools::default())
+            .unwrap_err();
         assert!(matches!(err, McdError::MissingDependency { .. }));
     }
 }

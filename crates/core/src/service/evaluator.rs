@@ -1,35 +1,26 @@
 //! The long-lived evaluation service: worker pool, baseline memo, submission.
 
-use crate::artifact::{ArtifactKey, TrainingHistogramsArtifact};
+use crate::artifact::codec;
 use crate::error::McdError;
 use crate::evaluation::{BenchmarkEvaluation, EvaluationConfig, SchemeResult};
 use crate::fault::{FaultPlan, FaultSite, InjectedPanic};
-use crate::histogram::RegionHistograms;
-use crate::learned::LearnedPolicy;
-use crate::offline::OfflineSchedule;
-use crate::online::OnlineController;
-use crate::pid::PidController;
-use crate::pipeline::schedule::ScheduleHooks;
-use crate::profile::{ProfileHooks, ProfilePlan};
 use crate::scheme::{
-    names, DvfsScheme, LearnedScheme, OfflineScheme, OnlineScheme, PidScheme, ProfileScheme,
-    SchemeContext, SchemeOutcome, SharedTraining, SysScaleScheme,
+    full_registry, DvfsScheme, Lane, Pools, Prepared, SchemeContext, SchemeOutcome,
 };
 use crate::service::job::{EvalBatch, EvalJob, JobId};
 use crate::service::scheduler::{PushOutcome, ShardedScheduler, TokenBucket};
 use crate::service::stream::{EvalEvent, ResultStream};
-use crate::sysscale::SysScaleController;
 use mcd_sim::config::MachineConfig;
 use mcd_sim::fingerprint::{Fingerprint, Fnv1a};
 use mcd_sim::simulator::{NullHooks, SimHooks, Simulator};
 use mcd_sim::stats::SimStats;
 use mcd_sim::trace::PackedTrace;
-use mcd_sim::BatchedSimulator;
 use mcd_workloads::generator::generate_packed;
 use mcd_workloads::suite::Benchmark;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -144,13 +135,15 @@ struct BaselineArtifacts {
     baseline: SimStats,
 }
 
-/// Counters of batched execution, populated by
-/// [`Evaluator::submit_batch`](crate::service::Evaluator::submit_batch).
+/// Counters of batched execution. Every submission is executed as a batch:
+/// an [`Evaluator::submit_batch`] group is one, and each job of
+/// [`Evaluator::submit_all`] is a group of one member.
 ///
 /// After a cold 10-point batch over one benchmark running offline + profile,
 /// expect `groups == 1`, `members == 10`, `baselines_computed == 1`,
-/// `baselines_reused == 9`, `passes == 2` (one per scheme family) and
-/// `lanes == 20` — every number a `submit_all` sweep would have paid per job.
+/// `baselines_reused == 9`, `passes == 2` (one per scheme) and `lanes == 20`;
+/// the same ten jobs through `submit_all` count ten groups and twenty
+/// one-lane passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Batch groups processed.
@@ -161,7 +154,7 @@ pub struct BatchStats {
     pub baselines_computed: u64,
     /// Members served by a baseline another job (or batch member) computed.
     pub baselines_reused: u64,
-    /// Batched simulation passes (one per scheme family with ≥ 1 lane).
+    /// Fused simulation passes (one per scheme with ≥ 1 lane per group).
     pub passes: u64,
     /// Configuration lanes across those passes.
     pub lanes: u64,
@@ -178,8 +171,9 @@ impl BatchStats {
     }
 }
 
-/// One queued unit of work: the job plus the event channel of its submission
-/// and the enqueue timestamp feeding the queue-latency gauge.
+/// One queued job: the job plus the event channel of its submission and the
+/// enqueue timestamp feeding the queue-latency gauge. Workers pop whole
+/// groups of them (one group per batch; a lone job is a group of one).
 #[derive(Debug)]
 struct QueuedJob {
     id: JobId,
@@ -188,21 +182,12 @@ struct QueuedJob {
     queued_at: Instant,
 }
 
-/// What a worker pops off the queue: a lone job, or a whole batch processed
-/// by one worker so its members can share baseline, capture, and trace
-/// passes.
-#[derive(Debug)]
-enum QueuedWork {
-    Single(Box<QueuedJob>),
-    Batch(Vec<QueuedJob>),
-}
-
 /// State shared between the evaluator handle and its worker threads.
 #[derive(Debug)]
 struct Shared {
     config: EvaluationConfig,
     window_parallelism: usize,
-    queue: ShardedScheduler<QueuedWork>,
+    queue: ShardedScheduler<Vec<QueuedJob>>,
     /// Bound (in jobs) enforced by the capacity-checked entry points; the
     /// unconditional `submit*` family ignores it.
     queue_capacity: Option<usize>,
@@ -251,19 +236,13 @@ impl Shared {
                 // from disk and skip re-generation entirely (the codec's
                 // checksum guards bit-identity; any decode problem falls back
                 // to regenerating).
-                let cache = &self.config.cache;
                 let key = crate::artifact::packed_trace_key(bench.name, &bench.inputs.reference);
-                let trace = cache.load_trace(&key).unwrap_or_else(|| {
-                    // Publication lock + re-check so concurrent evaluator
-                    // processes sharing one cache dir generate each reference
-                    // trace exactly once.
-                    let _trace_lock = cache.lock_publication(&key);
-                    cache.recheck_trace(&key).unwrap_or_else(|| {
-                        let trace = generate_packed(&bench.program, &bench.inputs.reference);
-                        cache.store_trace(&key, &trace);
-                        trace
-                    })
-                });
+                let trace = self.config.cache.publish(
+                    &key,
+                    codec::decode_trace,
+                    codec::encode_trace,
+                    || generate_packed(&bench.program, &bench.inputs.reference),
+                );
                 let baseline = Simulator::new(machine.clone())
                     .run(trace.iter(), &mut NullHooks, false)
                     .stats;
@@ -539,59 +518,14 @@ impl Evaluator {
         self.submit_all(vec![job])
     }
 
-    /// Submits a batch of jobs sharing one event stream. Jobs start in
-    /// per-class submission order as workers free up; their events interleave
-    /// on the returned stream. An empty batch returns a stream that is
-    /// already finished. Submission is unconditional — for backpressure use
-    /// [`try_submit_all`](Evaluator::try_submit_all).
+    /// Submits jobs sharing one event stream, each as a batch of one. Jobs
+    /// start in per-class submission order as workers free up; their events
+    /// interleave on the returned stream. An empty submission returns a
+    /// stream that is already finished. Submission is unconditional — for
+    /// backpressure use [`try_submit_all`](Evaluator::try_submit_all).
     pub fn submit_all(&self, jobs: Vec<EvalJob>) -> ResultStream {
-        let (sender, receiver) = mpsc::channel();
-        let mut ids = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-            ids.push(id);
-            let benchmark = job.benchmark.name.to_string();
-            let priority = job.priority;
-            // Reserve first, then emit `JobQueued`, then land the work: the
-            // reservation makes the depth gauge exact and the ordering keeps
-            // `JobQueued` ahead of the worker's `JobStarted` on the stream.
-            match self.shared.queue.try_reserve(1, None) {
-                PushOutcome::Pushed(depth) => {
-                    let _ = sender.send(EvalEvent::JobQueued {
-                        job: id,
-                        benchmark,
-                        depth,
-                    });
-                    self.shared.queue.push_reserved(
-                        QueuedWork::Single(Box::new(QueuedJob {
-                            id,
-                            job,
-                            events: sender.clone(),
-                            queued_at: Instant::now(),
-                        })),
-                        priority,
-                        1,
-                    );
-                }
-                // Unreachable while the evaluator is alive (close happens in
-                // drop), but keeps every job's stream terminating if that
-                // changes.
-                PushOutcome::Full(_) | PushOutcome::Closed => {
-                    let _ = sender.send(EvalEvent::JobFailed {
-                        job: id,
-                        benchmark,
-                        error: McdError::Shutdown,
-                    });
-                }
-            }
-        }
-        // Dropping the submission's sender leaves one sender clone per queued
-        // job; the stream therefore ends exactly when the last job finishes.
-        drop(sender);
-        ResultStream {
-            receiver,
-            jobs: ids,
-        }
+        self.submit_groups(jobs.into_iter().map(|job| vec![job]), false)
+            .0
     }
 
     /// Capacity-checked [`submit_all`](Evaluator::submit_all): each job
@@ -601,73 +535,7 @@ impl Evaluator {
     /// share the returned stream, so `collect` surfaces a rejection as
     /// [`McdError::Rejected`] exactly like any other job failure.
     pub fn try_submit_all(&self, jobs: Vec<EvalJob>) -> (ResultStream, Vec<Admission>) {
-        let (sender, receiver) = mpsc::channel();
-        let mut ids = Vec::with_capacity(jobs.len());
-        let mut admissions = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-            ids.push(id);
-            let benchmark = job.benchmark.name.to_string();
-            if let Some(reason) = self.admit(1.0) {
-                admissions.push(Admission::Rejected { job: id, reason });
-                let _ = sender.send(EvalEvent::JobRejected {
-                    job: id,
-                    benchmark,
-                    reason,
-                });
-                continue;
-            }
-            let priority = job.priority;
-            match self.shared.queue.try_reserve(1, self.shared.queue_capacity) {
-                PushOutcome::Pushed(depth) => {
-                    self.shared.admitted.fetch_add(1, Ordering::Relaxed);
-                    admissions.push(Admission::Queued { job: id, depth });
-                    let _ = sender.send(EvalEvent::JobQueued {
-                        job: id,
-                        benchmark,
-                        depth,
-                    });
-                    self.shared.queue.push_reserved(
-                        QueuedWork::Single(Box::new(QueuedJob {
-                            id,
-                            job,
-                            events: sender.clone(),
-                            queued_at: Instant::now(),
-                        })),
-                        priority,
-                        1,
-                    );
-                }
-                PushOutcome::Full(depth) => {
-                    self.shared.rejected_full.fetch_add(1, Ordering::Relaxed);
-                    let reason = RejectReason::QueueFull {
-                        depth,
-                        capacity: self.shared.queue_capacity.unwrap_or(usize::MAX),
-                    };
-                    admissions.push(Admission::Rejected { job: id, reason });
-                    let _ = sender.send(EvalEvent::JobRejected {
-                        job: id,
-                        benchmark,
-                        reason,
-                    });
-                }
-                PushOutcome::Closed => {
-                    let _ = sender.send(EvalEvent::JobFailed {
-                        job: id,
-                        benchmark,
-                        error: McdError::Shutdown,
-                    });
-                }
-            }
-        }
-        drop(sender);
-        (
-            ResultStream {
-                receiver,
-                jobs: ids,
-            },
-            admissions,
-        )
+        self.submit_groups(jobs.into_iter().map(|job| vec![job]), true)
     }
 
     /// Consults the rate limiter for `tokens` jobs' worth of budget; `Some`
@@ -690,14 +558,13 @@ impl Evaluator {
 
     /// Submits a validated [`EvalBatch`]: the whole group goes to one worker,
     /// which pays for the shared baseline once and runs the members as
-    /// parallel configuration lanes of batched simulation passes (one trace
-    /// pass per scheme family). Events, ordering guarantees, and per-member
-    /// results are exactly those of [`submit_all`](Evaluator::submit_all)
-    /// with the same jobs — batching only changes wall-clock time, counted in
+    /// parallel configuration lanes of fused simulation passes (one trace
+    /// pass per scheme). Events, ordering guarantees, and per-member results
+    /// are exactly those of [`submit_all`](Evaluator::submit_all) with the
+    /// same jobs — batching only changes wall-clock time, counted in
     /// [`batch_stats`](Evaluator::batch_stats).
     pub fn submit_batch(&self, batch: EvalBatch) -> ResultStream {
-        let (stream, _) = self.submit_batch_inner(batch, false);
-        stream
+        self.submit_groups([batch.jobs], false).0
     }
 
     /// Capacity-checked [`submit_batch`](Evaluator::submit_batch): the batch
@@ -707,113 +574,25 @@ impl Evaluator {
     /// a terminal [`EvalEvent::JobRejected`] and a matching
     /// [`Admission::Rejected`] entry.
     pub fn try_submit_batch(&self, batch: EvalBatch) -> (ResultStream, Vec<Admission>) {
-        self.submit_batch_inner(batch, true)
+        self.submit_groups([batch.jobs], true)
     }
 
-    fn submit_batch_inner(
+    /// Enqueues each group as one schedulable unit on one shared stream;
+    /// `checked` applies admission control (rate limiter and queue bound) per
+    /// group.
+    fn submit_groups(
         &self,
-        batch: EvalBatch,
+        groups: impl IntoIterator<Item = Vec<EvalJob>>,
         checked: bool,
     ) -> (ResultStream, Vec<Admission>) {
-        let priority = batch.priority();
-        let jobs = batch.jobs.len();
         let (sender, receiver) = mpsc::channel();
-        let mut ids = Vec::with_capacity(jobs);
-        let mut members = Vec::with_capacity(jobs);
-        let queued_at = Instant::now();
-        for job in batch.jobs {
-            let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-            ids.push(id);
-            members.push(QueuedJob {
-                id,
-                job,
-                events: sender.clone(),
-                queued_at,
-            });
+        let mut ids = Vec::new();
+        let mut admissions = Vec::new();
+        for group in groups {
+            self.enqueue(group, checked, &sender, &mut ids, &mut admissions);
         }
-
-        // The batch is one schedulable unit: admitted or rejected whole.
-        let reserved = if checked {
-            match self.admit(jobs as f64) {
-                Some(reason) => Err(Some(reason)),
-                None => match self
-                    .shared
-                    .queue
-                    .try_reserve(jobs, self.shared.queue_capacity)
-                {
-                    PushOutcome::Pushed(depth) => Ok(depth),
-                    PushOutcome::Full(depth) => {
-                        self.shared
-                            .rejected_full
-                            .fetch_add(jobs as u64, Ordering::Relaxed);
-                        Err(Some(RejectReason::QueueFull {
-                            depth,
-                            capacity: self.shared.queue_capacity.unwrap_or(usize::MAX),
-                        }))
-                    }
-                    PushOutcome::Closed => Err(None),
-                },
-            }
-        } else {
-            match self.shared.queue.try_reserve(jobs, None) {
-                PushOutcome::Pushed(depth) => Ok(depth),
-                // Unreachable while the evaluator is alive; keeps streams
-                // terminating if that changes.
-                PushOutcome::Full(_) | PushOutcome::Closed => Err(None),
-            }
-        };
-
-        let admissions = match reserved {
-            Ok(depth) => {
-                if checked {
-                    self.shared
-                        .admitted
-                        .fetch_add(jobs as u64, Ordering::Relaxed);
-                }
-                let admissions = members
-                    .iter()
-                    .map(|member| {
-                        let _ = sender.send(EvalEvent::JobQueued {
-                            job: member.id,
-                            benchmark: member.job.benchmark.name.to_string(),
-                            depth,
-                        });
-                        Admission::Queued {
-                            job: member.id,
-                            depth,
-                        }
-                    })
-                    .collect();
-                self.shared
-                    .queue
-                    .push_reserved(QueuedWork::Batch(members), priority, jobs);
-                admissions
-            }
-            Err(Some(reason)) => members
-                .into_iter()
-                .map(|member| {
-                    let _ = sender.send(EvalEvent::JobRejected {
-                        job: member.id,
-                        benchmark: member.job.benchmark.name.to_string(),
-                        reason,
-                    });
-                    Admission::Rejected {
-                        job: member.id,
-                        reason,
-                    }
-                })
-                .collect(),
-            Err(None) => {
-                for member in members {
-                    let _ = sender.send(EvalEvent::JobFailed {
-                        job: member.id,
-                        benchmark: member.job.benchmark.name.to_string(),
-                        error: McdError::Shutdown,
-                    });
-                }
-                Vec::new()
-            }
-        };
+        // Dropping the submission's sender leaves one sender clone per queued
+        // job; the stream therefore ends exactly when the last job finishes.
         drop(sender);
         (
             ResultStream {
@@ -822,6 +601,114 @@ impl Evaluator {
             },
             admissions,
         )
+    }
+
+    fn enqueue(
+        &self,
+        group: Vec<EvalJob>,
+        checked: bool,
+        sender: &mpsc::Sender<EvalEvent>,
+        ids: &mut Vec<JobId>,
+        admissions: &mut Vec<Admission>,
+    ) {
+        // A group rides at the urgency of its most impatient member.
+        let priority = group
+            .iter()
+            .map(|job| job.priority)
+            .min()
+            .unwrap_or_default();
+        let jobs = group.len();
+        let queued_at = Instant::now();
+        let members: Vec<QueuedJob> = group
+            .into_iter()
+            .map(|job| {
+                let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
+                ids.push(id);
+                QueuedJob {
+                    id,
+                    job,
+                    events: sender.clone(),
+                    queued_at,
+                }
+            })
+            .collect();
+
+        // Reserve first, then emit `JobQueued`, then land the work: the
+        // reservation makes the depth gauge exact and the ordering keeps
+        // `JobQueued` ahead of the worker's `JobStarted` on the stream.
+        let capacity = if checked {
+            self.shared.queue_capacity
+        } else {
+            None
+        };
+        let rate_limited = if checked {
+            self.admit(jobs as f64)
+        } else {
+            None
+        };
+        let reserved = match rate_limited {
+            Some(reason) => Err(Some(reason)),
+            None => match self.shared.queue.try_reserve(jobs, capacity) {
+                PushOutcome::Pushed(depth) => Ok(depth),
+                PushOutcome::Full(depth) => {
+                    self.shared
+                        .rejected_full
+                        .fetch_add(jobs as u64, Ordering::Relaxed);
+                    Err(Some(RejectReason::QueueFull {
+                        depth,
+                        capacity: capacity.unwrap_or(usize::MAX),
+                    }))
+                }
+                // Unreachable while the evaluator is alive (close happens in
+                // drop), but keeps every job's stream terminating if that
+                // changes.
+                PushOutcome::Closed => Err(None),
+            },
+        };
+
+        match reserved {
+            Ok(depth) => {
+                if checked {
+                    self.shared
+                        .admitted
+                        .fetch_add(jobs as u64, Ordering::Relaxed);
+                }
+                for member in &members {
+                    admissions.push(Admission::Queued {
+                        job: member.id,
+                        depth,
+                    });
+                    let _ = sender.send(EvalEvent::JobQueued {
+                        job: member.id,
+                        benchmark: member.job.benchmark.name.to_string(),
+                        depth,
+                    });
+                }
+                self.shared.queue.push_reserved(members, priority, jobs);
+            }
+            Err(Some(reason)) => {
+                for member in members {
+                    admissions.push(Admission::Rejected {
+                        job: member.id,
+                        reason,
+                    });
+                    let _ = sender.send(EvalEvent::JobRejected {
+                        job: member.id,
+                        benchmark: member.job.benchmark.name.to_string(),
+                        reason,
+                    });
+                }
+            }
+            Err(None) => {
+                for member in members {
+                    let _ = sender.send(EvalEvent::JobFailed {
+                        job: member.id,
+                        benchmark: member.job.benchmark.name.to_string(),
+                        error: McdError::Shutdown,
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -843,11 +730,8 @@ impl Drop for Evaluator {
                     error: McdError::Shutdown,
                 });
             };
-            for work in self.shared.queue.abort() {
-                match work {
-                    QueuedWork::Single(queued) => fail(*queued),
-                    QueuedWork::Batch(members) => members.into_iter().for_each(fail),
-                }
+            for members in self.shared.queue.abort() {
+                members.into_iter().for_each(fail);
             }
         }
         for handle in self.worker_handles.drain(..) {
@@ -874,164 +758,58 @@ fn panic_error(payload: Box<dyn std::any::Any + Send>) -> McdError {
     McdError::Panic(msg)
 }
 
-/// A worker: pop work (own shard first, stealing otherwise) until the queue
-/// closes and drains. Each popped unit first emits `JobStarted` per job,
-/// carrying the queue-latency and depth gauges.
+/// A worker: pop groups (own shard first, stealing otherwise) until the
+/// queue closes and drains. Each popped group first emits `JobStarted` per
+/// job, carrying the queue-latency and depth gauges.
 ///
-/// Job execution runs under `catch_unwind`, so a panic — injected by the
-/// fault plan or a genuine bug — poisons only its own job: the job gets a
-/// terminal [`EvalEvent::JobFailed`] (so its stream still ends) and the
-/// worker thread goes back to popping. The shared state is unwind-safe by
-/// construction: no lock is held across job execution, and the baseline
-/// memo's `OnceLock` is left uninitialized (not poisoned) when its
-/// initializer panics, so a later job simply recomputes.
+/// Group execution runs under `catch_unwind`, so a panic — injected by the
+/// fault plan or a genuine bug — poisons only the jobs still without a
+/// terminal event: each gets a terminal [`EvalEvent::JobFailed`] (so its
+/// stream still ends) and the worker thread goes back to popping. The shared
+/// state is unwind-safe by construction: no lock is held across job
+/// execution, and the baseline memo's `OnceLock` is left uninitialized (not
+/// poisoned) when its initializer panics, so a later job simply recomputes.
 fn worker_loop(shared: &Shared, worker: usize) {
-    while let Some(work) = shared.queue.pop(worker) {
+    while let Some(group) = shared.queue.pop(worker) {
         let depth = shared.queue.depth();
-        match work {
-            QueuedWork::Single(queued) => {
-                let _ = queued.events.send(EvalEvent::JobStarted {
-                    job: queued.id,
-                    benchmark: queued.job.benchmark.name.to_string(),
-                    queued_for: queued.queued_at.elapsed(),
-                    depth,
-                });
-                let id = queued.id;
-                let benchmark = queued.job.benchmark.name.to_string();
-                let events = queued.events.clone();
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    if shared.faults.should(FaultSite::WorkerPanic) {
-                        std::panic::panic_any(InjectedPanic);
-                    }
-                    process_job(shared, *queued);
-                }));
-                if let Err(payload) = result {
-                    // `process_job` sends its terminal as its very last
-                    // action, so an unwound job has not sent one yet.
+        for member in &group {
+            let _ = member.events.send(EvalEvent::JobStarted {
+                job: member.id,
+                benchmark: member.job.benchmark.name.to_string(),
+                queued_for: member.queued_at.elapsed(),
+                depth,
+            });
+        }
+        // Per-member terminal bookkeeping: `process_batch` marks each member
+        // whose terminal event it sent, so if it unwinds mid-batch the
+        // backstop fails exactly the members still missing one.
+        let terminals: Vec<(JobId, String, mpsc::Sender<EvalEvent>)> = group
+            .iter()
+            .map(|m| (m.id, m.job.benchmark.name.to_string(), m.events.clone()))
+            .collect();
+        let sent: Vec<Cell<bool>> = group.iter().map(|_| Cell::new(false)).collect();
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            process_batch(shared, group, &sent);
+        }));
+        if let Err(payload) = result {
+            let error = panic_error(payload);
+            for ((job, benchmark, events), sent) in terminals.into_iter().zip(&sent) {
+                if !sent.get() {
                     let _ = events.send(EvalEvent::JobFailed {
-                        job: id,
+                        job,
                         benchmark,
-                        error: panic_error(payload),
+                        error: error.clone(),
                     });
                 }
             }
-            QueuedWork::Batch(members) => {
-                for member in &members {
-                    let _ = member.events.send(EvalEvent::JobStarted {
-                        job: member.id,
-                        benchmark: member.job.benchmark.name.to_string(),
-                        queued_for: member.queued_at.elapsed(),
-                        depth,
-                    });
-                }
-                // Per-member terminal bookkeeping: `process_batch` marks each
-                // member whose terminal event it sent, so if it unwinds
-                // mid-batch the backstop fails exactly the members still
-                // missing one.
-                let terminals: Vec<(JobId, String, mpsc::Sender<EvalEvent>, Arc<AtomicBool>)> =
-                    members
-                        .iter()
-                        .map(|m| {
-                            (
-                                m.id,
-                                m.job.benchmark.name.to_string(),
-                                m.events.clone(),
-                                Arc::new(AtomicBool::new(false)),
-                            )
-                        })
-                        .collect();
-                let flags: Vec<Arc<AtomicBool>> =
-                    terminals.iter().map(|(_, _, _, f)| Arc::clone(f)).collect();
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    process_batch(shared, members, &flags);
-                }));
-                if let Err(payload) = result {
-                    let error = panic_error(payload);
-                    for (id, benchmark, events, sent) in terminals {
-                        if !sent.load(Ordering::Relaxed) {
-                            let _ = events.send(EvalEvent::JobFailed {
-                                job: id,
-                                benchmark,
-                                error: error.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Runs one job end to end, emitting its lifecycle events. Event sends are
-/// allowed to fail silently: a caller that dropped its [`ResultStream`] has
-/// said it no longer cares about the results.
-fn process_job(shared: &Shared, queued: QueuedJob) {
-    let QueuedJob {
-        id, job, events, ..
-    } = queued;
-    let benchmark_name = job.benchmark().name.to_string();
-    let config = job.effective_config(&shared.config, shared.window_parallelism);
-
-    // Validate the registry before paying for the baseline: a job with an
-    // unknown scheme fails fast and never touches the memo.
-    let registry = match job.build_registry(&config) {
-        Ok(registry) => registry,
-        Err(error) => {
-            let _ = events.send(EvalEvent::JobFailed {
-                job: id,
-                benchmark: benchmark_name,
-                error,
-            });
-            return;
-        }
-    };
-
-    let (artifacts, memo_hit) = shared.baseline_for(job.benchmark(), &config.machine);
-    let _ = events.send(EvalEvent::BaselineReady {
-        job: id,
-        benchmark: benchmark_name.clone(),
-        memo_hit,
-    });
-
-    let outcome = crate::evaluation::run_schemes(
-        job.benchmark(),
-        &config.machine,
-        &registry,
-        &artifacts.trace,
-        &artifacts.baseline,
-        |outcome| {
-            let _ = events.send(EvalEvent::SchemeFinished {
-                job: id,
-                benchmark: benchmark_name.clone(),
-                outcome: outcome.clone(),
-            });
-        },
-    );
-    match outcome {
-        Ok(schemes) => {
-            let _ = events.send(EvalEvent::JobCompleted {
-                job: id,
-                evaluation: BenchmarkEvaluation {
-                    name: benchmark_name,
-                    baseline: artifacts.baseline.clone(),
-                    schemes,
-                },
-            });
-        }
-        Err(error) => {
-            let _ = events.send(EvalEvent::JobFailed {
-                job: id,
-                benchmark: benchmark_name,
-                error,
-            });
         }
     }
 }
 
 /// One member of a batch while the batch is being processed: its registry,
-/// the outcomes accumulated so far (in registry order, exactly as
-/// [`process_job`] would produce them), and whether it has already failed.
-struct BatchMember {
+/// the outcomes accumulated so far (in registry order), and whether it has
+/// already failed.
+struct BatchMember<'a> {
     id: JobId,
     benchmark_name: String,
     events: mpsc::Sender<EvalEvent>,
@@ -1041,13 +819,13 @@ struct BatchMember {
     failed: bool,
     /// Set when this member's terminal event goes out; the worker's
     /// `catch_unwind` backstop fails only members whose flag is still unset.
-    terminal_sent: Arc<AtomicBool>,
+    terminal_sent: &'a Cell<bool>,
 }
 
-impl BatchMember {
+impl BatchMember<'_> {
     fn fail(&mut self, error: McdError) {
         self.failed = true;
-        self.terminal_sent.store(true, Ordering::Relaxed);
+        self.terminal_sent.set(true);
         let _ = self.events.send(EvalEvent::JobFailed {
             job: self.id,
             benchmark: self.benchmark_name.clone(),
@@ -1063,37 +841,21 @@ impl BatchMember {
         });
         self.outcomes.push(outcome);
     }
-
-    fn context<'a>(
-        &'a self,
-        machine: &'a MachineConfig,
-        artifacts: &'a BaselineArtifacts,
-    ) -> SchemeContext<'a> {
-        SchemeContext {
-            benchmark: self.job.benchmark(),
-            machine,
-            reference_trace: &artifacts.trace,
-            baseline: &artifacts.baseline,
-            prior: &self.outcomes,
-        }
-    }
 }
 
-/// Runs one batch end to end on this worker. Per member the event sequence,
-/// registry order, and statistics are exactly those of [`process_job`]; the
-/// batch differs only in *how* the work is executed — one baseline lookup,
-/// one capture/training pass per shared histogram key, and one batched
-/// multi-lane simulation pass per scheme family. Failures are isolated: a
+/// Runs one group end to end on this worker — the evaluator's only
+/// executor; a lone job is a group of one. Per member the events arrive in
+/// the documented lifecycle order and the schemes run in registry order;
+/// across members the group shares one baseline lookup, one set of artifact
+/// [`Pools`] (one capture/training pass per shared histogram key), and one
+/// fused multi-lane simulation pass per scheme. Failures are isolated: a
 /// member whose scheme errors emits its `JobFailed` and drops out; the rest
 /// of the batch continues. The same holds for an injected worker panic,
 /// drawn once per member: the panicking member fails with
-/// [`McdError::Fault`] and the batch carries on without it. `flags` are the
+/// [`McdError::Fault`] and the batch carries on without it. `sent` are the
 /// per-member terminal markers (parallel to `queued`) the worker's panic
 /// backstop reads.
-fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, flags: &[Arc<AtomicBool>]) {
-    if queued.is_empty() {
-        return;
-    }
+fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, sent: &[Cell<bool>]) {
     shared.batch_groups.fetch_add(1, Ordering::Relaxed);
     shared
         .batch_members
@@ -1101,17 +863,15 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, flags: &[Arc<AtomicBoo
 
     // Validate every member's registry before paying for the baseline. The
     // per-member injection point lives here too, under its own
-    // `catch_unwind`, giving batches genuinely member-granular panic
-    // isolation on this path.
-    let mut members: Vec<BatchMember> = Vec::with_capacity(queued.len());
+    // `catch_unwind`, giving batches member-granular panic isolation.
+    let mut members: Vec<BatchMember<'_>> = Vec::with_capacity(queued.len());
     for (
         QueuedJob {
             id, job, events, ..
         },
         terminal_sent,
-    ) in queued.into_iter().zip(flags)
+    ) in queued.into_iter().zip(sent)
     {
-        let benchmark_name = job.benchmark().name.to_string();
         let config = job.effective_config(&shared.config, shared.window_parallelism);
         let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
             if shared.faults.should(FaultSite::WorkerPanic) {
@@ -1119,33 +879,23 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, flags: &[Arc<AtomicBoo
             }
             job.build_registry(&config)
         }));
+        let mut member = BatchMember {
+            id,
+            benchmark_name: job.benchmark().name.to_string(),
+            events,
+            job,
+            registry: Vec::new(),
+            outcomes: Vec::new(),
+            failed: false,
+            terminal_sent,
+        };
         match built {
-            Ok(Ok(registry)) => members.push(BatchMember {
-                id,
-                benchmark_name,
-                events,
-                job,
-                registry,
-                outcomes: Vec::new(),
-                failed: false,
-                terminal_sent: Arc::clone(terminal_sent),
-            }),
-            Ok(Err(error)) => {
-                terminal_sent.store(true, Ordering::Relaxed);
-                let _ = events.send(EvalEvent::JobFailed {
-                    job: id,
-                    benchmark: benchmark_name,
-                    error,
-                });
+            Ok(Ok(registry)) => {
+                member.registry = registry;
+                members.push(member);
             }
-            Err(payload) => {
-                terminal_sent.store(true, Ordering::Relaxed);
-                let _ = events.send(EvalEvent::JobFailed {
-                    job: id,
-                    benchmark: benchmark_name,
-                    error: panic_error(payload),
-                });
-            }
+            Ok(Err(error)) => member.fail(error),
+            Err(payload) => member.fail(panic_error(payload)),
         }
     }
     if members.is_empty() {
@@ -1154,8 +904,8 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, flags: &[Arc<AtomicBoo
 
     // One baseline serves the whole batch: jobs cannot override the machine,
     // and EvalJob::batch guaranteed a single benchmark.
-    let machine = shared.config.machine.clone();
-    let (artifacts, memo_hit) = shared.baseline_for(members[0].job.benchmark(), &machine);
+    let machine = &shared.config.machine;
+    let (artifacts, memo_hit) = shared.baseline_for(members[0].job.benchmark(), machine);
     if memo_hit {
         shared
             .batch_baselines_reused
@@ -1177,26 +927,27 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, flags: &[Arc<AtomicBoo
         });
     }
 
-    // Scheme families run in standard registry order so a member's `global`
-    // finds its matched scheme among the member's prior outcomes, exactly as
-    // in a serial run. (Subset registries preserve that order too.)
-    for family in [
-        names::OFFLINE,
-        names::ONLINE,
-        names::PROFILE,
-        names::PID,
-        names::SYSSCALE,
-        names::LEARNED,
-        names::GLOBAL,
-    ] {
-        run_batch_family(shared, &mut members, family, &machine, &artifacts);
+    // Schemes run in full-registry order, which every member's (subset)
+    // registry follows, so a member's `global` finds its matched scheme among
+    // the member's prior outcomes.
+    let simulator = Simulator::new(machine.clone());
+    let mut pools = Pools::default();
+    for scheme in full_registry(true, true) {
+        run_scheme(
+            shared,
+            &mut members,
+            scheme.name(),
+            &simulator,
+            &mut pools,
+            &artifacts,
+        );
     }
 
     for member in members {
         if member.failed {
             continue;
         }
-        member.terminal_sent.store(true, Ordering::Relaxed);
+        member.terminal_sent.set(true);
         let _ = member.events.send(EvalEvent::JobCompleted {
             job: member.id,
             evaluation: BenchmarkEvaluation {
@@ -1208,253 +959,62 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, flags: &[Arc<AtomicBoo
     }
 }
 
-/// Runs one scheme family across the batch: members running the family
-/// become lanes of a single batched simulation pass where the concrete
-/// scheme supports it, and fall back to their own serial run otherwise.
-fn run_batch_family(
+/// Runs the named scheme for every member that has it: each member prepares
+/// its lane (drawing shared inputs from `pools`), then all lanes replay the
+/// reference trace in one fused pass. A scheme error fails its member only.
+fn run_scheme(
     shared: &Shared,
-    members: &mut [BatchMember],
-    family: &'static str,
-    machine: &MachineConfig,
+    members: &mut [BatchMember<'_>],
+    name: &'static str,
+    simulator: &Simulator,
+    pools: &mut Pools,
     artifacts: &BaselineArtifacts,
 ) {
-    let participating: Vec<usize> = members
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| !m.failed && m.registry.iter().any(|s| s.name() == family))
-        .map(|(i, _)| i)
-        .collect();
-    if participating.is_empty() {
+    let outcome = |label, stats| SchemeOutcome {
+        name: name.to_string(),
+        label,
+        result: SchemeResult::new(stats, &artifacts.baseline),
+    };
+    let mut lanes: Vec<(usize, String, Box<dyn Lane>)> = Vec::new();
+    for (i, member) in members.iter_mut().enumerate() {
+        if member.failed {
+            continue;
+        }
+        let Some(scheme) = member.registry.iter().find(|s| s.name() == name) else {
+            continue;
+        };
+        let label = scheme.label();
+        let ctx = SchemeContext {
+            benchmark: member.job.benchmark(),
+            machine: simulator.config(),
+            reference_trace: &artifacts.trace,
+            baseline: &artifacts.baseline,
+            prior: &member.outcomes,
+        };
+        match scheme.prepare(&ctx, pools) {
+            Ok(Prepared::Lane(lane)) => lanes.push((i, label, lane)),
+            Ok(Prepared::Finished(stats)) => member.record(outcome(label, stats)),
+            Err(error) => member.fail(error),
+        }
+    }
+    if lanes.is_empty() {
         return;
     }
-
-    match family {
-        names::OFFLINE => {
-            // Per member: obtain the schedule (sharing capture/DAG/shaker
-            // work through the pool), then replay all schedules as lanes of
-            // one batched trace pass.
-            let simulator = Simulator::new(machine.clone());
-            let mut pool: HashMap<ArtifactKey, Arc<Vec<Option<RegionHistograms>>>> = HashMap::new();
-            let mut prepared: Vec<(usize, String, OfflineSchedule, u64)> = Vec::new();
-            for i in participating {
-                let Some(offline) = downcast_family::<OfflineScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                let offline = offline.clone();
-                let ctx = members[i].context(machine, artifacts);
-                let schedule = offline.schedule_for_batched(&ctx, &simulator, &mut pool);
-                let label = offline.label();
-                prepared.push((
-                    i,
-                    label,
-                    schedule,
-                    offline.config.window_instructions.max(1),
-                ));
-            }
-            if prepared.is_empty() {
-                return;
-            }
-            let mut hooks: Vec<ScheduleHooks<'_>> = prepared
-                .iter()
-                .map(|(_, _, schedule, window)| ScheduleHooks::new(schedule, *window))
-                .collect();
-            let stats = run_lanes(shared, machine, artifacts, &mut hooks);
-            let labeled = prepared
-                .iter()
-                .map(|(i, label, _, _)| (*i, label.clone()))
-                .collect();
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        names::ONLINE => {
-            let mut labeled: Vec<(usize, String)> = Vec::new();
-            let mut controllers: Vec<OnlineController> = Vec::new();
-            for i in participating {
-                let Some(online) = downcast_family::<OnlineScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                // A fresh controller per lane, as in OnlineScheme::run.
-                controllers.push(OnlineController::new(online.config));
-                labeled.push((i, online.label()));
-            }
-            if controllers.is_empty() {
-                return;
-            }
-            let stats = run_lanes(shared, machine, artifacts, &mut controllers);
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        names::PROFILE => {
-            let mut pool: HashMap<ArtifactKey, SharedTraining> = HashMap::new();
-            let mut prepared: Vec<(usize, String, ProfilePlan)> = Vec::new();
-            for i in participating {
-                let Some(profile) = downcast_family::<ProfileScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                let profile = profile.clone();
-                let ctx = members[i].context(machine, artifacts);
-                let plan = profile.plan_for_batched(&ctx, &mut pool);
-                prepared.push((i, profile.label(), plan));
-            }
-            if prepared.is_empty() {
-                return;
-            }
-            let mut hooks: Vec<ProfileHooks<'_>> =
-                prepared.iter().map(|(_, _, plan)| plan.hooks()).collect();
-            let stats = run_lanes(shared, machine, artifacts, &mut hooks);
-            let labeled = prepared
-                .iter()
-                .map(|(i, label, _)| (*i, label.clone()))
-                .collect();
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        names::PID => {
-            let mut labeled: Vec<(usize, String)> = Vec::new();
-            let mut controllers: Vec<PidController> = Vec::new();
-            for i in participating {
-                let Some(pid) = downcast_family::<PidScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                // A fresh controller per lane, as in PidScheme::run.
-                controllers.push(PidController::new(pid.config));
-                labeled.push((i, pid.label()));
-            }
-            if controllers.is_empty() {
-                return;
-            }
-            let stats = run_lanes(shared, machine, artifacts, &mut controllers);
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        names::SYSSCALE => {
-            let mut labeled: Vec<(usize, String)> = Vec::new();
-            let mut controllers: Vec<SysScaleController> = Vec::new();
-            for i in participating {
-                let Some(sysscale) = downcast_family::<SysScaleScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                controllers.push(SysScaleController::new(
-                    sysscale.config,
-                    machine.grid.clone(),
-                    machine.voltage_map.clone(),
-                ));
-                labeled.push((i, sysscale.label()));
-            }
-            if controllers.is_empty() {
-                return;
-            }
-            let stats = run_lanes(shared, machine, artifacts, &mut controllers);
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        names::LEARNED => {
-            // Per member: train or reload the lookup table (sharing the
-            // recording run through the pool), then play every policy as a
-            // lane of one batched trace pass.
-            let mut pool: HashMap<ArtifactKey, Arc<TrainingHistogramsArtifact>> = HashMap::new();
-            let mut labeled: Vec<(usize, String)> = Vec::new();
-            let mut policies: Vec<LearnedPolicy> = Vec::new();
-            for i in participating {
-                let Some(learned) = downcast_family::<LearnedScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                let learned = learned.clone();
-                let ctx = members[i].context(machine, artifacts);
-                let table = learned.table_for_batched(&ctx, &mut pool);
-                policies.push(LearnedPolicy::new(&learned.config, table));
-                labeled.push((i, learned.label()));
-            }
-            if policies.is_empty() {
-                return;
-            }
-            let stats = run_lanes(shared, machine, artifacts, &mut policies);
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        // Global DVS (and any future family without a batched form) depends
-        // on per-member prior outcomes; it runs serially per member.
-        _ => {
-            for i in participating {
-                run_member_serially(members, i, family, machine, artifacts);
-            }
-        }
-    }
-}
-
-/// Downcasts a member's instance of `family` to its concrete scheme type;
-/// `None` sends the member down the serial fallback.
-fn downcast_family<'a, S: 'static>(member: &'a BatchMember, family: &str) -> Option<&'a S> {
-    member
-        .registry
-        .iter()
-        .find(|s| s.name() == family)?
-        .as_any()?
-        .downcast_ref::<S>()
-}
-
-/// One batched multi-lane simulation pass over the shared reference trace.
-fn run_lanes<H: SimHooks>(
-    shared: &Shared,
-    machine: &MachineConfig,
-    artifacts: &BaselineArtifacts,
-    hooks: &mut [H],
-) -> Vec<SimStats> {
     shared.batch_passes.fetch_add(1, Ordering::Relaxed);
     shared
         .batch_lanes
-        .fetch_add(hooks.len() as u64, Ordering::Relaxed);
-    let batched = BatchedSimulator::new(machine.clone());
-    let mut lanes: Vec<&mut dyn SimHooks> =
-        hooks.iter_mut().map(|h| h as &mut dyn SimHooks).collect();
-    batched.run(artifacts.trace.iter(), &mut lanes)
-}
-
-/// Turns each lane's stats into the member's `SchemeOutcome`, emitting
-/// `SchemeFinished` per member in lane order.
-fn finish_lanes(
-    members: &mut [BatchMember],
-    family: &'static str,
-    artifacts: &BaselineArtifacts,
-    labeled: Vec<(usize, String)>,
-    stats: Vec<SimStats>,
-) {
-    for ((i, label), stats) in labeled.into_iter().zip(stats) {
-        members[i].record(SchemeOutcome {
-            name: family.to_string(),
-            label,
-            result: SchemeResult::new(stats, &artifacts.baseline),
-        });
-    }
-}
-
-/// The always-correct fallback: the member runs this family exactly as
-/// [`process_job`] would, against its own context. A scheme error fails the
-/// member (and only the member).
-fn run_member_serially(
-    members: &mut [BatchMember],
-    i: usize,
-    family: &str,
-    machine: &MachineConfig,
-    artifacts: &BaselineArtifacts,
-) {
-    let result = {
-        let member = &members[i];
-        let scheme = member
-            .registry
-            .iter()
-            .find(|s| s.name() == family)
-            .expect("participating member has the scheme");
-        let ctx = member.context(machine, artifacts);
-        scheme.run(&ctx).map(|stats| SchemeOutcome {
-            name: scheme.name().to_string(),
-            label: scheme.label(),
-            result: SchemeResult::new(stats, &artifacts.baseline),
-        })
+        .fetch_add(lanes.len() as u64, Ordering::Relaxed);
+    let stats = {
+        let mut boxed: Vec<Box<dyn SimHooks + '_>> =
+            lanes.iter().map(|(_, _, lane)| lane.hooks()).collect();
+        let mut hooks: Vec<&mut dyn SimHooks> = boxed
+            .iter_mut()
+            .map(|h| h.as_mut() as &mut dyn SimHooks)
+            .collect();
+        simulator.run_lanes(artifacts.trace.iter(), &mut hooks)
     };
-    match result {
-        Ok(outcome) => members[i].record(outcome),
-        Err(error) => members[i].fail(error),
+    for ((i, label, _), stats) in lanes.into_iter().zip(stats) {
+        members[i].record(outcome(label, stats));
     }
 }
 
@@ -1556,7 +1116,8 @@ mod tests {
         assert_eq!(stats.members, 3);
         assert_eq!(stats.baselines_computed, 1);
         assert_eq!(stats.baselines_reused, 2);
-        // offline (3 lanes), online (1), profile (3) batch; global is serial.
+        // offline (3 lanes), online (1), profile (3) fuse; global returns
+        // finished statistics instead of a lane.
         assert_eq!(stats.passes, 3);
         assert_eq!(stats.lanes, 7);
         assert!((stats.lanes_per_pass() - 7.0 / 3.0).abs() < 1e-12);
@@ -1597,6 +1158,43 @@ mod tests {
             }
         }
         assert_eq!((completed, failed), (1, 1));
+    }
+
+    #[test]
+    fn invalid_overrides_fail_typed_before_the_baseline() {
+        use crate::scheme::names;
+        let bench = mcd_workloads::suite::benchmark("adpcm decode").unwrap();
+        let evaluator = Evaluator::builder().build();
+        let jobs = [f64::NAN, -0.1, 1.0]
+            .map(|d| {
+                EvalJob::new(bench.clone())
+                    .with_slowdown(d)
+                    .with_schemes([names::ONLINE])
+            })
+            .to_vec();
+        let mut failures = 0;
+        for event in evaluator.submit_all(jobs) {
+            match event {
+                EvalEvent::JobFailed { error, .. } => {
+                    assert!(matches!(error, McdError::InvalidConfig(_)), "{error}");
+                    failures += 1;
+                }
+                EvalEvent::BaselineReady { .. } | EvalEvent::JobCompleted { .. } => {
+                    panic!("an invalid job reached the baseline: {event:?}")
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(failures, 3);
+        assert_eq!(evaluator.memo_stats().lookups(), 0);
+
+        // A zero off-line window is rejected the same way, not clamped.
+        let mut config = EvaluationConfig::default();
+        config.offline.window_instructions = 0;
+        let evaluator = Evaluator::builder().config(config).build();
+        let err = evaluator.submit(EvalJob::new(bench)).collect().unwrap_err();
+        assert!(matches!(err, McdError::InvalidConfig(_)));
+        assert_eq!(evaluator.memo_stats().lookups(), 0);
     }
 
     #[test]

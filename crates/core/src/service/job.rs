@@ -165,11 +165,29 @@ impl EvalJob {
     }
 
     /// Builds the configured registry this job runs: the standard registry,
-    /// or the requested subset of it.
+    /// or the requested subset of it. A slowdown target that is not a finite
+    /// fraction in `[0, 1)`, or a zero off-line window, is an
+    /// [`McdError::InvalidConfig`].
     pub(crate) fn build_registry(
         &self,
         config: &EvaluationConfig,
     ) -> Result<Vec<Box<dyn DvfsScheme>>, McdError> {
+        for slowdown in [
+            config.offline.slowdown,
+            config.training.slowdown,
+            config.learned.slowdown,
+        ] {
+            if !(0.0..1.0).contains(&slowdown) {
+                return Err(McdError::InvalidConfig(format!(
+                    "slowdown target {slowdown} is not a fraction in [0, 1)"
+                )));
+            }
+        }
+        if config.offline.window_instructions == 0 {
+            return Err(McdError::InvalidConfig(
+                "off-line window_instructions must be at least 1".to_string(),
+            ));
+        }
         match &self.schemes {
             Some(subset) => subset_registry(config, subset),
             None => configured_registry(config),
@@ -204,10 +222,10 @@ impl EvalJob {
 /// [`Evaluator::submit_batch`](crate::service::Evaluator::submit_batch).
 ///
 /// All members share the batch's single reference trace and baseline; per
-/// scheme family the members run as parallel lanes of one batched simulation
-/// pass (see [`mcd_sim::batch::BatchedSimulator`]), and members whose configs
-/// differ only in the slowdown target additionally share one
-/// capture/DAG/shaker pass through the incremental histogram artifacts.
+/// scheme the members run as parallel lanes of one fused simulation pass
+/// (see [`Simulator::run_lanes`](mcd_sim::simulator::Simulator::run_lanes)),
+/// and members whose configs differ only in the slowdown target additionally
+/// share one capture/DAG/shaker pass through the batch's artifact pools.
 #[derive(Debug, Clone)]
 pub struct EvalBatch {
     pub(crate) jobs: Vec<EvalJob>,

@@ -2,12 +2,8 @@
 //! [`EvalJob`]s, receive [`EvalEvent`]s as they happen.
 //!
 //! The paper's comparison is a batch of (benchmark × configuration × scheme)
-//! runs. The old entry points — the now-deprecated free functions
-//! [`evaluate_benchmark`](crate::evaluation::evaluate_benchmark) and
-//! [`evaluate_suite`](crate::evaluation::evaluate_suite) — treated every call
-//! as an island: they regenerated the reference trace and the full-speed MCD
-//! baseline per call and returned nothing until the whole batch was done.
-//! This module replaces them with a long-lived service:
+//! runs. This module is the crate's one way to run them, a long-lived
+//! service:
 //!
 //! * **Build once** ([`Evaluator::builder`]): machine model, analysis
 //!   parameters, artifact cache and thread budget are fixed up front; a pool
@@ -25,9 +21,18 @@
 //! * **Share baselines**: the service memoizes reference traces and
 //!   full-speed baselines per `(benchmark, machine)` fingerprint, so a sweep
 //!   submitting many configurations of the same benchmarks computes each
-//!   trace and baseline exactly once — across *different* configurations,
-//!   which `evaluate_suite` could never do. [`Evaluator::memo_stats`] exposes
-//!   the hit/miss counters.
+//!   trace and baseline exactly once, across *different* configurations.
+//!   [`Evaluator::memo_stats`] exposes the hit/miss counters.
+//! * **One executor**: every submission runs as a batch — an
+//!   [`Evaluator::submit_batch`] group is one, and each job of
+//!   [`Evaluator::submit_all`] is a batch of one. A worker takes a whole
+//!   batch, asks every member's schemes to
+//!   [`prepare`](crate::scheme::DvfsScheme::prepare) their controllers
+//!   (sharing capture and training work through the batch's
+//!   [`Pools`](crate::scheme::Pools)), and replays the reference trace once
+//!   per scheme with one lane per member
+//!   ([`Simulator::run_lanes`](mcd_sim::simulator::Simulator::run_lanes)).
+//!   [`Evaluator::batch_stats`] counts the groups, passes and lanes.
 //! * **Stream results** ([`ResultStream`]): results arrive incrementally as
 //!   events instead of all at once at the end.
 //!
@@ -55,8 +60,9 @@
 //!   completed job carries the full
 //!   [`BenchmarkEvaluation`](crate::evaluation::BenchmarkEvaluation). A failed
 //!   job never poisons the rest of its batch. A job rejected at
-//!   registry-construction time (unknown scheme name) fails straight from
-//!   `JobStarted`, before any baseline work.
+//!   registry-construction time (an unknown scheme name, or a slowdown
+//!   target outside `[0, 1)` — [`McdError::InvalidConfig`](crate::McdError))
+//!   fails straight from `JobStarted`, before any baseline work.
 //!
 //! Events of different jobs interleave arbitrarily; the stream ends after the
 //! last job's terminal event. [`ResultStream::collect`] recovers the old

@@ -178,8 +178,8 @@ impl ResultStream {
     }
 
     /// Blocks until every job finished and returns the evaluations in
-    /// submission order — the adapter recovering the old `evaluate_suite`
-    /// result shape from the event stream.
+    /// submission order — the blocking `Vec<BenchmarkEvaluation>` shape,
+    /// recovered from the event stream.
     pub fn collect(self) -> Result<Vec<BenchmarkEvaluation>, McdError> {
         self.collect_with(|_| {})
     }

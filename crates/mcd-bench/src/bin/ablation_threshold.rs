@@ -8,11 +8,12 @@
 //! to the energy/performance trade-off.
 
 use mcd_bench::{format, run_main, selected_benchmarks, Options, SuiteSelection};
+use mcd_dvfs::evaluation::run_baseline;
 use mcd_dvfs::evaluation::Summary;
-use mcd_dvfs::evaluation::{relative, run_baseline};
 use mcd_dvfs::profile::{train, TrainingConfig};
 use mcd_sim::config::MachineConfig;
 use mcd_sim::simulator::Simulator;
+use mcd_sim::stats::RelativeMetrics;
 use mcd_workloads::generator::generate_trace;
 use std::process::ExitCode;
 
@@ -60,7 +61,7 @@ fn run() -> Result<(), mcd_dvfs::error::McdError> {
                 .stats;
             writes += stats.reconfigurations;
             overhead += stats.overhead_cycles;
-            let m = relative(&stats, &baseline);
+            let m = RelativeMetrics::relative_to(&stats, &baseline);
             slowdowns.push(m.performance_degradation);
             savings.push(m.energy_savings);
         }

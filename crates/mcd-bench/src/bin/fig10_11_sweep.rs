@@ -8,7 +8,7 @@
 //! ([`EvalJob::batch`]), so the benchmark's reference trace and full-speed
 //! baseline are paid for once per batch, the threshold series re-derives
 //! every slowdown point from a single capture/shaker pass, and each scheme
-//! family replays all points as parallel lanes of one batched trace pass.
+//! replays all points as parallel lanes of one fused trace pass.
 //! The printed figures are bit-identical to submitting every job
 //! independently — only the wall clock (and the stderr statistics) differ.
 

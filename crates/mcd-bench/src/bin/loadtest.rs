@@ -41,7 +41,7 @@
 //! [`EvalJob::batch`]: mcd_dvfs::service::EvalJob::batch
 
 use mcd_bench::loadtest::{
-    check_cache_integrity, cold_config, run_admission, run_batched, run_chaos, run_serial,
+    check_cache_integrity, cold_config, run_admission, run_chaos, run_grouped, run_serial,
     stream_jobs, ChaosReport, RunReport, DEFAULT_POINTS,
 };
 use mcd_dvfs::artifact::ArtifactCache;
@@ -134,7 +134,7 @@ fn main() -> ExitCode {
 fn run_worker(points: usize) -> Result<(), McdError> {
     let cache = Arc::new(ArtifactCache::from_env());
     let config = cold_config().with_cache(cache.clone());
-    let report = run_batched(&config, stream_jobs(points)?)?;
+    let report = run_grouped(&config, stream_jobs(points)?)?;
     eprintln!(
         "loadtest worker: {} job(s) in {:.0} ms",
         report.jobs,
@@ -165,7 +165,7 @@ fn run_harness(points: usize, procs: usize, smoke: bool, seed: u64) -> Result<bo
     let config = cold_config();
     let serial = run_serial(&config, stream_jobs(points)?)?;
     print_run("serial", &serial);
-    let batched = run_batched(&config, stream_jobs(points)?)?;
+    let batched = run_grouped(&config, stream_jobs(points)?)?;
     print_run("batched", &batched);
     let speedup = batched.throughput() / serial.throughput().max(1e-9);
     let digests_match = serial.digest == batched.digest;

@@ -528,8 +528,8 @@ fn run_load(mode: LoadMode) -> ExitCode {
     let start = Instant::now();
     let report = match mode {
         LoadMode::Serial => loadtest::run_serial(&config, jobs),
-        LoadMode::Batched => loadtest::run_batched(&config, jobs),
-        LoadMode::BatchedFaultOff => loadtest::run_batched_with_faults(
+        LoadMode::Batched => loadtest::run_grouped(&config, jobs),
+        LoadMode::BatchedFaultOff => loadtest::run_grouped_with_faults(
             &config,
             jobs,
             std::sync::Arc::new(FaultPlan::disabled()),
@@ -641,7 +641,7 @@ fn run_shared_cache_worker() -> ExitCode {
     let cache = std::sync::Arc::new(ArtifactCache::from_env());
     let config = loadtest::cold_config().with_cache(cache.clone());
     let start = Instant::now();
-    if let Err(err) = loadtest::run_batched(&config, jobs) {
+    if let Err(err) = loadtest::run_grouped(&config, jobs) {
         eprintln!("perf_report: shared-cache worker failed: {err}");
         return ExitCode::FAILURE;
     }

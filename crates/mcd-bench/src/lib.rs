@@ -159,7 +159,8 @@ pub fn collect_streaming(stream: ResultStream) -> Result<Vec<BenchmarkEvaluation
 }
 
 /// Evaluates every benchmark in `benches` under `config` through one
-/// single-batch [`Evaluator`], streaming per-benchmark progress to stderr.
+/// [`Evaluator`], one job per benchmark, streaming per-benchmark progress to
+/// stderr.
 ///
 /// Sweeps that evaluate many configurations should build one [`Evaluator`]
 /// themselves and submit every configuration's jobs to it, so reference

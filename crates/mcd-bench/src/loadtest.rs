@@ -11,7 +11,7 @@
 //!
 //! * [`run_serial`] submits each configuration as its own independent job —
 //!   the throughput of a client that never batches;
-//! * [`run_batched`] groups each benchmark's points into one
+//! * [`run_grouped`] groups each benchmark's points into one
 //!   [`EvalJob::batch`] group — one capture/training pass feeding all lanes;
 //! * [`run_admission`] pushes the stream through a bounded, rate-limited
 //!   front-end ([`Evaluator::try_submit_all`]) and tallies the explicit
@@ -160,9 +160,10 @@ impl RunReport {
     }
 }
 
-/// Serial submission: every configuration is its own single-job entry — no
-/// batching, so each job pays its full capture/training cost (baselines are
-/// still memoised process-wide, exactly as a non-batching client would see).
+/// Serial submission: every configuration is its own job, a batch of one —
+/// nothing is shared across configurations, so each job pays its full
+/// capture/training cost (baselines are still memoised process-wide, exactly
+/// as a non-batching client would see).
 pub fn run_serial(config: &EvaluationConfig, jobs: Vec<EvalJob>) -> Result<RunReport, McdError> {
     let evaluator = Evaluator::builder()
         .config(config.clone())
@@ -179,16 +180,16 @@ pub fn run_serial(config: &EvaluationConfig, jobs: Vec<EvalJob>) -> Result<RunRe
 /// all slowdown lanes. Groups are submitted in stream order, so the
 /// concatenated evaluations land in the same canonical order as
 /// [`run_serial`]'s.
-pub fn run_batched(config: &EvaluationConfig, jobs: Vec<EvalJob>) -> Result<RunReport, McdError> {
-    run_batched_with_faults(config, jobs, Arc::new(FaultPlan::disabled()))
+pub fn run_grouped(config: &EvaluationConfig, jobs: Vec<EvalJob>) -> Result<RunReport, McdError> {
+    run_grouped_with_faults(config, jobs, Arc::new(FaultPlan::disabled()))
 }
 
-/// [`run_batched`] with an explicit (typically disabled) fault plan
+/// [`run_grouped`] with an explicit (typically disabled) fault plan
 /// installed in the evaluator — the `perf_report` `fault_off_overhead`
 /// stage's subject: the injection hooks are runtime-gated, so a disabled
 /// plan threaded through the full hot path must cost nothing measurable
-/// against [`run_batched`] itself.
-pub fn run_batched_with_faults(
+/// against [`run_grouped`] itself.
+pub fn run_grouped_with_faults(
     config: &EvaluationConfig,
     jobs: Vec<EvalJob>,
     faults: Arc<FaultPlan>,

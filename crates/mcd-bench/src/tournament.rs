@@ -1,11 +1,10 @@
 //! The controller tournament: every registered scheme, every suite tier, one
-//! batched [`Evaluator`], one ranked scheme × benchmark matrix.
+//! [`Evaluator`], one ranked scheme × benchmark matrix.
 //!
 //! [`run`] evaluates the selected benchmarks with the full registry (the
 //! paper's four schemes plus the controller zoo) through one [`Evaluator`],
-//! submitting each benchmark as a single batch so the batched simulation
-//! path — shared baselines, pooled capture/training passes, multi-lane trace
-//! passes — carries the whole tournament. [`render`] is a pure function from
+//! one job per benchmark; within a job, the profile and learned schemes
+//! share one training capture through the batch's artifact pools. [`render`] is a pure function from
 //! the evaluations to the report text, so the output is byte-stable across
 //! runs, across cold/warm caches, and across `--jobs` values (the snapshot
 //! test and the CI smoke both rely on this).
@@ -22,11 +21,11 @@ use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig, Summary};
 use mcd_dvfs::service::{EvalJob, Evaluator};
 use mcd_workloads::suite::{self, Benchmark, SuiteKind};
 
-/// Evaluates `benches` under `config` through one batched [`Evaluator`] —
-/// each benchmark is submitted as a single batch, so every scheme family
-/// rides the batched simulation path — and reports the evaluator's batch
-/// counters on stderr (`mcd-batch: ...`, machine-greppable like the cache
-/// line). Evaluations return in submission order.
+/// Evaluates `benches` under `config` through one [`Evaluator`] — each
+/// benchmark is a job, run as a batch of one like every submission — and
+/// reports the evaluator's batch counters on stderr (`mcd-batch: ...`,
+/// machine-greppable like the cache line). Evaluations return in submission
+/// order.
 pub fn run(
     benches: &[Benchmark],
     config: &EvaluationConfig,
@@ -41,15 +40,8 @@ pub fn run(
         .config(config.clone())
         .workers(workers)
         .build();
-    let mut streams = Vec::with_capacity(benches.len());
-    for bench in benches {
-        let batch = EvalJob::batch(vec![EvalJob::new(bench.clone())])?;
-        streams.push(evaluator.submit_batch(batch));
-    }
-    let mut evals = Vec::with_capacity(streams.len());
-    for stream in streams {
-        evals.extend(crate::collect_streaming(stream)?);
-    }
+    let jobs = benches.iter().cloned().map(EvalJob::new).collect();
+    let evals = crate::collect_streaming(evaluator.submit_all(jobs))?;
     let b = evaluator.batch_stats();
     eprintln!(
         "mcd-batch: groups={} members={} passes={} lanes={} baselines_computed={} \

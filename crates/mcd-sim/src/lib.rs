@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod branch;
 pub mod cache;
 pub mod config;
@@ -66,7 +65,6 @@ pub mod sync;
 pub mod time;
 pub mod trace;
 
-pub use batch::BatchedSimulator;
 pub use config::{MachineConfig, MachineConfigError};
 pub use domain::{Domain, PerDomain};
 pub use fingerprint::{Fingerprint, Fnv1a};

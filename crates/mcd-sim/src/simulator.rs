@@ -329,16 +329,41 @@ impl Simulator {
     }
 
     /// Runs `trace` once while carrying one fully independent state lane per
-    /// entry of `lanes`: every trace item is fed to every lane's state in
-    /// lane order, so each lane's evolution is a pure function of the shared
-    /// item stream and its own hooks — bit-identical to running the trace
-    /// once per lane with [`Simulator::run`] and `record_events == false`.
-    /// The win is paying the trace decode (and iteration) cost once for N
-    /// configurations. Event recording is not supported in batch mode.
-    pub(crate) fn run_lanes<I>(&self, trace: I, lanes: &mut [&mut dyn SimHooks]) -> Vec<SimStats>
+    /// entry of `lanes`, returning each lane's statistics in lane order:
+    /// every trace item is fed to every lane's state in lane order, so each
+    /// lane's evolution is a pure function of the shared item stream and its
+    /// own hooks — bit-identical to running the trace once per lane with
+    /// [`Simulator::run`] and `record_events == false`. The win is paying the
+    /// trace decode (and iteration) cost once for N configurations. All lanes
+    /// share this simulator's machine and power model: a pass varies the
+    /// control policy, not the hardware. Event recording is not supported
+    /// here, and an empty lane set returns without touching the trace.
+    ///
+    /// ```
+    /// use mcd_sim::config::MachineConfig;
+    /// use mcd_sim::instruction::{Instr, InstrClass, TraceItem};
+    /// use mcd_sim::simulator::{NullHooks, SimHooks, Simulator};
+    ///
+    /// let sim = Simulator::new(MachineConfig::default());
+    /// let trace: Vec<TraceItem> = (0..100)
+    ///     .map(|i| TraceItem::Instr(Instr::op(0x1000 + i * 4, InstrClass::IntAlu)))
+    ///     .collect();
+    /// let (mut a, mut b) = (NullHooks, NullHooks);
+    /// let stats = sim.run_lanes(trace, &mut [&mut a as &mut dyn SimHooks, &mut b]);
+    /// assert_eq!(stats.len(), 2);
+    /// assert_eq!(stats[0].instructions, 100);
+    /// assert_eq!(
+    ///     stats[0].run_time.as_ns().to_bits(),
+    ///     stats[1].run_time.as_ns().to_bits()
+    /// );
+    /// ```
+    pub fn run_lanes<I>(&self, trace: I, lanes: &mut [&mut dyn SimHooks]) -> Vec<SimStats>
     where
-        I: Iterator<Item = TraceItem>,
+        I: IntoIterator<Item = TraceItem>,
     {
+        if lanes.is_empty() {
+            return Vec::new();
+        }
         let mut states: Vec<RunState> = lanes
             .iter()
             .map(|hooks| {
@@ -1141,5 +1166,91 @@ mod tests {
         let res = sim.run(trace, &mut NullHooks, false);
         assert!(res.stats.l2_misses > 0);
         assert!(res.stats.domain_energy[Domain::External] > 0.0);
+    }
+
+    /// A trace with a loop around a mix of instruction classes.
+    fn looped_trace() -> Vec<TraceItem> {
+        use crate::instruction::{LoopId, Marker};
+        let mut items = vec![TraceItem::Marker(Marker::LoopEnter { loop_id: LoopId(1) })];
+        for i in 0..400u64 {
+            let class = match i % 4 {
+                0 => InstrClass::IntAlu,
+                1 => InstrClass::FpAdd,
+                2 => InstrClass::Load,
+                _ => InstrClass::IntMul,
+            };
+            items.push(TraceItem::Instr(
+                Instr::op(0x1000 + i * 4, class).with_dep1(3),
+            ));
+        }
+        items.push(TraceItem::Marker(Marker::LoopExit { loop_id: LoopId(1) }));
+        items
+    }
+
+    /// A hook that pins every scalable domain to one frequency from the start.
+    #[derive(Debug)]
+    struct Pinned(FrequencySetting);
+
+    impl SimHooks for Pinned {
+        fn initial_setting(&self) -> Option<FrequencySetting> {
+            Some(self.0)
+        }
+    }
+
+    #[test]
+    fn lanes_match_independent_serial_runs_bit_for_bit() {
+        use crate::time::MegaHertz;
+        let machine = MachineConfig::default();
+        let sim = Simulator::new(machine.clone());
+        let trace = looped_trace();
+        let settings: Vec<FrequencySetting> = [1000.0, 750.0, 500.0]
+            .iter()
+            .map(|f| FrequencySetting::uniform(MegaHertz::new(*f)).quantized(&machine.grid))
+            .collect();
+
+        let single: Vec<SimStats> = settings
+            .iter()
+            .map(|s| sim.run(trace.iter().copied(), &mut Pinned(*s), false).stats)
+            .collect();
+
+        let mut hooks: Vec<Pinned> = settings.iter().map(|s| Pinned(*s)).collect();
+        let mut lanes: Vec<&mut dyn SimHooks> =
+            hooks.iter_mut().map(|h| h as &mut dyn SimHooks).collect();
+        let fused = sim.run_lanes(trace.iter().copied(), &mut lanes);
+
+        assert_eq!(fused.len(), single.len());
+        for (f, s) in fused.iter().zip(&single) {
+            assert_eq!(f.instructions, s.instructions);
+            assert_eq!(f.run_time.as_ns().to_bits(), s.run_time.as_ns().to_bits());
+            assert_eq!(
+                f.total_energy.as_units().to_bits(),
+                s.total_energy.as_units().to_bits()
+            );
+            assert_eq!(f.sync_crossings, s.sync_crossings);
+            assert_eq!(f.sync_stalls, s.sync_stalls);
+        }
+    }
+
+    #[test]
+    fn empty_lane_set_is_a_no_op() {
+        let sim = Simulator::new(MachineConfig::default());
+        assert!(sim.run_lanes(looped_trace(), &mut []).is_empty());
+    }
+
+    #[test]
+    fn single_lane_matches_the_plain_simulator() {
+        let sim = Simulator::new(MachineConfig::default());
+        let trace = looped_trace();
+        let solo = sim.run(trace.iter().copied(), &mut NullHooks, false).stats;
+        let lane = sim.run_lanes(trace.iter().copied(), &mut [&mut NullHooks]);
+        assert_eq!(lane.len(), 1);
+        assert_eq!(
+            lane[0].run_time.as_ns().to_bits(),
+            solo.run_time.as_ns().to_bits()
+        );
+        assert_eq!(
+            lane[0].total_energy.as_units().to_bits(),
+            solo.total_energy.as_units().to_bits()
+        );
     }
 }

@@ -8,11 +8,11 @@
 //! ```
 
 use mcd_dvfs::error::{find_benchmark, run_main, McdError};
-use mcd_dvfs::evaluation::relative;
 use mcd_dvfs::profile::{train, TrainingConfig};
 use mcd_sim::config::MachineConfig;
 use mcd_sim::domain::Domain;
 use mcd_sim::simulator::{NullHooks, Simulator};
+use mcd_sim::stats::RelativeMetrics;
 use mcd_workloads::generator::generate_trace;
 use std::process::ExitCode;
 
@@ -60,7 +60,7 @@ fn run() -> Result<(), McdError> {
         .stats;
 
     // 4. Report the paper's metrics.
-    let metrics = relative(&controlled, &baseline);
+    let metrics = RelativeMetrics::relative_to(&controlled, &baseline);
     println!();
     println!("reference run ({} instructions):", baseline.instructions);
     println!(

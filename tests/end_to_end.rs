@@ -13,8 +13,7 @@ use mcd_sim::simulator::{NullHooks, Simulator};
 use mcd_workloads::generator::generate_trace;
 use mcd_workloads::suite;
 
-/// Evaluates one benchmark through a single-use [`Evaluator`] service (the
-/// canonical replacement for the deprecated `evaluate_benchmark` shim).
+/// Evaluates one benchmark through a single-use [`Evaluator`] service.
 fn evaluate(bench: &suite::Benchmark, config: &EvaluationConfig) -> BenchmarkEvaluation {
     Evaluator::builder()
         .config(config.clone())

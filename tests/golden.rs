@@ -13,13 +13,15 @@
 //! When a drift is intentional (a deliberate modelling change), the failure
 //! message prints the full replacement table to paste over `GOLDEN`.
 //!
-//! Coverage note: this harness also backstops the incremental-artifact and
-//! batched-evaluation paths. The slowdown-independent artifact keys (packed
-//! trace, window/training histograms) and the batched multi-lane simulator
-//! are both required to be bit-identical to the cold, serial path —
-//! `tests/service.rs::slowdown_only_changes_reuse_capture_and_dag_artifacts`
-//! and `tests/properties.rs::batched_lanes_match_serial_submission_bitwise`
-//! assert that directly, so any reuse bug that slipped past them would still
+//! Coverage note: the evaluator has one execution path — every job runs as a
+//! batch, a lone job as a batch of one — and this harness pins its absolute
+//! output. The relative properties around it are checked elsewhere: reused
+//! slowdown-independent artifacts (packed trace, window/training histograms)
+//! must match a cold evaluation
+//! (`tests/service.rs::slowdown_only_changes_reuse_capture_and_dag_artifacts`),
+//! and N-member batches must match N one-member batches
+//! (`tests/properties.rs::batched_lanes_match_serial_submission_bitwise`),
+//! so any reuse or lane-isolation bug that slipped past them would still
 //! surface here as a golden drift.
 
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig};

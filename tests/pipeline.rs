@@ -43,8 +43,7 @@ impl Drop for TempCacheDir {
     }
 }
 
-/// Evaluates one benchmark through a single-use [`Evaluator`] service —
-/// the canonical replacement for the deprecated `evaluate_benchmark` — so
+/// Evaluates one benchmark through a single-use [`Evaluator`] service, so
 /// these tests also cover the service threading the artifact cache through.
 fn evaluate(
     bench: &mcd_workloads::suite::Benchmark,

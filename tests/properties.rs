@@ -612,16 +612,18 @@ fn server_tier_is_deterministic_across_parallelism() {
 }
 
 /// Batched multi-config evaluation is bit-identical to serial submission:
-/// for lane counts 1, 3 and 8, every scheme family in the full registry —
+/// for lane counts 1, 3 and 8, every scheme in the full registry —
 /// off-line, on-line, profile-driven L+F, the controller zoo (PID, SysScale,
 /// learned) and the global-DVS baseline — produces exactly the statistics N
 /// independent jobs produce, on both workload tiers.
 ///
-/// The serial reference is computed once per benchmark for all eight
-/// configurations; each batch must reproduce the matching prefix bit for bit
-/// — lanes share one trace pass per family and (for the analysis schemes)
-/// one capture/shaker pass, so any divergence in lane state isolation shows
-/// up here. The registry-coverage assertion at the end makes the property
+/// Serial submission queues every job as a one-member batch, so the
+/// reference is N one-member batches, computed once per benchmark for all
+/// eight configurations; each N-member batch must reproduce the matching
+/// prefix bit for bit. What this checks is lane isolation and pool sharing:
+/// members share one fused trace pass per scheme and (for the analysis
+/// schemes) one capture/shaker pass, so any leak of state between lanes or
+/// any pooled artifact that differs from a member's own shows up here. The registry-coverage assertion at the end makes the property
 /// self-extending: a newly registered scheme is automatically subject to it
 /// unless explicitly exempted below with a reason.
 #[test]

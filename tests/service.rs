@@ -1,6 +1,7 @@
 //! Integration tests for the job-oriented `Evaluator` service: shared
-//! baselines across configurations, streaming delivery, parity with the old
-//! blocking entry points, the thread-budget split, and failure isolation.
+//! baselines across configurations, streaming delivery, parity across
+//! worker counts and thread budgets, the thread-budget split, and failure
+//! isolation.
 
 use mcd_dvfs::error::McdError;
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig};
@@ -45,8 +46,9 @@ fn assert_evaluations_bit_identical(a: &BenchmarkEvaluation, b: &BenchmarkEvalua
 /// several slowdown targets over the same benchmarks — computes each
 /// `(benchmark, machine)` reference trace and baseline exactly once across
 /// all submitted configurations, streams `SchemeFinished` events before the
-/// last job completes, and `collect()` output is bit-identical to the old
-/// `evaluate_suite` results for the standard registry.
+/// last job completes, and `collect()` output is bit-identical to each sweep
+/// point evaluated alone by a fresh one-worker evaluator (which hands the
+/// whole thread budget to window analysis).
 #[test]
 fn sweep_shares_baselines_streams_and_matches_the_old_suite() {
     let suite_benches = benches(&["adpcm decode", "gsm decode"]);
@@ -98,15 +100,19 @@ fn sweep_shares_baselines_streams_and_matches_the_old_suite() {
         ((targets.len() - 1) * suite_benches.len()) as u64
     );
 
-    // Parity: each sweep point is bit-identical to the old blocking API.
+    // Parity: each sweep point is bit-identical to a fresh evaluator that
+    // sees only that point.
     for (&d, evals) in targets.iter().zip(&swept) {
-        #[allow(deprecated)]
-        let old =
-            mcd_dvfs::evaluation::evaluate_suite(&suite_benches, &base.clone().with_slowdown(d))
-                .expect("old suite evaluation succeeds");
-        assert_eq!(old.len(), evals.len());
-        for (o, n) in old.iter().zip(evals) {
-            assert_evaluations_bit_identical(o, n);
+        let alone = Evaluator::builder()
+            .config(base.clone().with_slowdown(d))
+            .workers(1)
+            .build()
+            .submit_all(suite_benches.iter().cloned().map(EvalJob::new).collect())
+            .collect()
+            .expect("fresh evaluation succeeds");
+        assert_eq!(alone.len(), evals.len());
+        for (a, e) in alone.iter().zip(evals) {
+            assert_evaluations_bit_identical(a, e);
         }
     }
 }
@@ -374,26 +380,6 @@ fn slowdown_only_changes_reuse_capture_and_dag_artifacts() {
     assert_evaluations_bit_identical(&warm, &fresh);
 }
 
-/// The deprecated shims and the service agree for the single-benchmark path
-/// (including the rule that a lone benchmark's whole budget flows to window
-/// analysis).
-#[test]
-fn shim_parity_for_single_benchmark_evaluations() {
-    let bench = suite::benchmark("gsm decode").expect("known benchmark");
-    let config = EvaluationConfig::default().with_parallelism(4);
-    #[allow(deprecated)]
-    let old = mcd_dvfs::evaluation::evaluate_benchmark(&bench, &config).expect("old API");
-    let new = Evaluator::builder()
-        .config(config)
-        .workers(1)
-        .build()
-        .submit(EvalJob::new(bench))
-        .collect()
-        .expect("service evaluation")
-        .remove(0);
-    assert_evaluations_bit_identical(&old, &new);
-}
-
 /// Graceful shutdown under load: dropping the evaluator with a backlog
 /// closes the queue, waits out the (short) shutdown timeout, and fails every
 /// still-queued job with a terminal `Shutdown` event — no job is left
@@ -525,8 +511,7 @@ fn admission_control_accounts_for_queued_and_rejected_jobs() {
 
 /// The documented `parallelism / workers` budget split, observable on the
 /// service: workers × window budget never exceeds the total, both floors are
-/// one, and `evaluate_suite`'s historical clamp (workers ≤ benchmarks) is the
-/// shim's responsibility, not the builder's.
+/// one, and the builder does not clamp workers to the number of jobs.
 #[test]
 fn builder_budget_split_honours_the_documentation() {
     for (parallelism, workers, want_workers, want_window) in [
