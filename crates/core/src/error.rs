@@ -15,8 +15,6 @@ use std::process::ExitCode;
 pub enum McdError {
     /// A benchmark name did not match any suite entry.
     UnknownBenchmark(String),
-    /// A benchmark name was registered more than once across suite tiers.
-    DuplicateBenchmark(String),
     /// A scheme name did not match any registry entry.
     UnknownScheme(String),
     /// A scheme name was registered more than once in one registry (names are
@@ -79,13 +77,6 @@ impl fmt::Display for McdError {
                     "unknown benchmark `{name}` (see `suite::benchmark_names()`)"
                 )
             }
-            McdError::DuplicateBenchmark(name) => {
-                write!(
-                    f,
-                    "benchmark `{name}` is registered more than once (names must be \
-                     unique across all suite tiers)"
-                )
-            }
             McdError::UnknownScheme(name) => write!(f, "unknown scheme `{name}`"),
             McdError::DuplicateScheme(name) => write!(
                 f,
@@ -130,16 +121,6 @@ impl From<mcd_sim::config::MachineConfigError> for McdError {
     }
 }
 
-impl From<mcd_workloads::suite::SuiteError> for McdError {
-    fn from(err: mcd_workloads::suite::SuiteError) -> Self {
-        match err {
-            mcd_workloads::suite::SuiteError::DuplicateName(name) => {
-                McdError::DuplicateBenchmark(name)
-            }
-        }
-    }
-}
-
 /// Looks up a benchmark by name, producing an [`McdError`] instead of an
 /// `Option` for use on user-facing paths.
 pub fn find_benchmark(name: &str) -> Result<Benchmark, McdError> {
@@ -177,13 +158,6 @@ mod tests {
         // Second-tier benchmarks resolve through the same user-facing path.
         let bench = find_benchmark("web serve").expect("server tier visible");
         assert_eq!(bench.suite, mcd_workloads::suite::SuiteKind::Server);
-    }
-
-    #[test]
-    fn suite_errors_convert_to_mcd_errors() {
-        let err: McdError = mcd_workloads::suite::SuiteError::DuplicateName("mcf".into()).into();
-        assert_eq!(err, McdError::DuplicateBenchmark("mcf".into()));
-        assert!(err.to_string().contains("mcf"));
     }
 
     #[test]

@@ -619,11 +619,9 @@ impl DvfsScheme for LearnedScheme {
     }
 }
 
-/// An ordered scheme registry that rejects duplicate names — the same
-/// shadowing protection [`mcd_workloads::suite::Registry`] applies to
-/// benchmark names, applied to schemes. Names are the identity the
-/// evaluator's batch passes, result tables, and lookups key on, so a
-/// second registration under an existing name is an
+/// An ordered scheme registry that rejects duplicate names. Names are the
+/// identity the evaluator's batch passes, result tables, and lookups key on,
+/// so a second registration under an existing name is an
 /// [`McdError::DuplicateScheme`] instead of a silent shadow.
 #[derive(Debug, Default)]
 pub struct SchemeRegistry {

@@ -20,7 +20,7 @@ use mcd_dvfs::error::McdError;
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig, Summary};
 use mcd_dvfs::service::{EvalEvent, EvalJob, Evaluator, ResultStream};
 use mcd_sim::stats::RelativeMetrics;
-use mcd_workloads::suite::{self, suite, Benchmark, SuiteKind};
+use mcd_workloads::suite::{self, Benchmark, SuiteKind};
 use std::sync::{Arc, OnceLock};
 
 pub use cli::{Options, SuiteSelection};
@@ -33,11 +33,7 @@ pub const HEADLINE_SLOWDOWN: f64 = 0.07;
 /// to a representative six-benchmark subset (useful while iterating); the
 /// full suite is all nineteen programs.
 pub fn selected_suite(quick: bool) -> Vec<Benchmark> {
-    let all = suite();
-    if !quick {
-        return all;
-    }
-    let keep = [
+    const QUICK: [&str; 6] = [
         "adpcm decode",
         "epic encode",
         "jpeg compress",
@@ -45,7 +41,7 @@ pub fn selected_suite(quick: bool) -> Vec<Benchmark> {
         "swim",
         "art",
     ];
-    all.into_iter().filter(|b| keep.contains(&b.name)).collect()
+    suite::select(|name, kind| kind.is_batch() && (!quick || QUICK.contains(&name)))
 }
 
 /// Returns the benchmarks selected by `--suite` / `MCD_SUITE` (falling back

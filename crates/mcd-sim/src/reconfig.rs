@@ -248,12 +248,6 @@ impl DvfsEngine {
     pub fn cycles_to_time(&self, domain: Domain, cycles: f64, start: TimeNs) -> TimeNs {
         self.frequency(domain, start).cycles_to_time(cycles)
     }
-
-    /// Resets every domain to full speed instantaneously (used between runs).
-    pub fn reset(&mut self) {
-        self.domains = PerDomain::splat(DomainDvfs::at_full_speed());
-        self.register_writes = 0;
-    }
 }
 
 impl Default for DvfsEngine {
@@ -353,20 +347,5 @@ mod tests {
         assert!((scale - (0.65f64 / 1.2).powi(2)).abs() < 1e-9);
         // External domain never scales.
         assert!((dvfs.energy_scale(Domain::External, late) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_returns_to_full_speed() {
-        let mut dvfs = DvfsEngine::default();
-        dvfs.write_register(
-            FrequencySetting::uniform(MegaHertz::new(300.0)),
-            TimeNs::ZERO,
-        );
-        dvfs.reset();
-        assert_eq!(
-            dvfs.frequency(Domain::Integer, TimeNs::from_us(500.0)),
-            MegaHertz::new(1000.0)
-        );
-        assert_eq!(dvfs.register_writes(), 0);
     }
 }

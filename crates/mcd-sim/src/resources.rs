@@ -64,13 +64,6 @@ impl UnitPool {
         self.next_free[idx] = start + busy_for;
         start
     }
-
-    /// Resets all units to free-at-zero.
-    pub fn reset(&mut self) {
-        for t in &mut self.next_free {
-            *t = TimeNs::ZERO;
-        }
-    }
 }
 
 /// An occupancy-bounded queue (issue queue, load/store queue, reorder buffer)
@@ -163,12 +156,12 @@ impl OccupancyQueue {
         self.departures.len()
     }
 
-    /// Highest occupancy observed since the last reset.
+    /// Highest occupancy observed so far.
     pub fn peak_occupancy(&self) -> usize {
         self.peak_occupancy
     }
 
-    /// Total admissions since the last reset.
+    /// Total admissions so far.
     pub fn admissions(&self) -> u64 {
         self.admissions
     }
@@ -181,14 +174,6 @@ impl OccupancyQueue {
             return 0.0;
         }
         (self.occupancy_sum / self.admissions as f64 / self.capacity as f64).min(1.0)
-    }
-
-    /// Clears all occupancy state and statistics.
-    pub fn reset(&mut self) {
-        self.departures.clear();
-        self.peak_occupancy = 0;
-        self.admissions = 0;
-        self.occupancy_sum = 0.0;
     }
 }
 
@@ -240,12 +225,6 @@ impl StagePacer {
             group_end
         }
     }
-
-    /// Resets the pacer to an empty group at time zero.
-    pub fn reset(&mut self) {
-        self.group_start = TimeNs::ZERO;
-        self.in_group = 0;
-    }
 }
 
 #[cfg(test)]
@@ -273,11 +252,6 @@ mod tests {
         // Fifth request waits for the earliest completion (at t=10).
         let s = pool.acquire(TimeNs::new(4.0), TimeNs::new(1.0));
         assert_eq!(s.as_ns(), 10.0);
-        pool.reset();
-        assert_eq!(
-            pool.acquire(TimeNs::new(0.0), TimeNs::new(1.0)).as_ns(),
-            0.0
-        );
         assert_eq!(pool.len(), 4);
         assert!(!pool.is_empty());
     }
@@ -319,9 +293,7 @@ mod tests {
         }
         let u = q.average_utilization();
         assert!(u > 0.0 && u <= 1.0, "utilization {u} out of range");
-        q.reset();
-        assert_eq!(q.average_utilization(), 0.0);
-        assert_eq!(q.occupancy(), 0);
+        assert_eq!(OccupancyQueue::new(4).average_utilization(), 0.0);
     }
 
     #[test]
@@ -365,8 +337,6 @@ mod tests {
         assert_eq!(p.admit(TimeNs::new(0.0), period).as_ns(), 0.0);
         // An instruction arriving well after the current group starts a new one.
         assert_eq!(p.admit(TimeNs::new(10.0), period).as_ns(), 10.0);
-        p.reset();
-        assert_eq!(p.admit(TimeNs::new(0.5), period).as_ns(), 0.5);
         assert_eq!(p.width(), 4);
     }
 }

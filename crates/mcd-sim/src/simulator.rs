@@ -16,6 +16,18 @@
 //! structural markers (profile-driven reconfiguration) or to fixed intervals
 //! (the on-line attack–decay controller), and may request reconfiguration
 //! register writes and charge instrumentation overhead.
+//!
+//! A simulation *pass* feeds one trace to one or more *lanes*, each a timing
+//! state under its own hooks ([`Simulator::run_lanes`]; a plain
+//! [`Simulator::run`] is a pass of one lane). Some of the model depends only on
+//! the trace, never on time or frequency: the cache hierarchy, the branch
+//! predictor, and the clock-jitter samples of the synchronizer (whether a
+//! crossing happens depends on domains, cache misses and mispredictions, so a
+//! lane's k-th crossing always uses the k-th sample pair). The pass owns these
+//! trace-determined models once and advances them once per instruction; every
+//! lane then executes against the same outcomes and reads the same jitter.
+//! A lane keeps only what time and frequency shape: the DVFS engine, energy
+//! accounting, structural queues and pacers, and the synchronizer's counters.
 
 use crate::branch::BranchPredictor;
 use crate::cache::{AccessOutcome, CacheHierarchy};
@@ -28,7 +40,7 @@ use crate::reconfig::{DvfsEngine, FrequencySetting};
 use crate::recorder::{FullRecord, NoRecord, Recorder, WindowedRecord};
 use crate::resources::{OccupancyQueue, StagePacer, UnitPool};
 use crate::stats::{IntervalStats, SimStats};
-use crate::sync::Synchronizer;
+use crate::sync::{JitterRng, Synchronizer};
 use crate::time::TimeNs;
 
 /// What a hook asks the simulator to do at a marker.
@@ -166,11 +178,106 @@ const FE_ENERGY_CYCLES: f64 = 1.3;
 /// Active cycles charged to the external domain per main-memory access.
 const MEMORY_ACCESS_ACTIVE_CYCLES: f64 = 10.0;
 
+/// The models a pass shares across its lanes because they depend only on the
+/// trace: advanced once per instruction, before any lane executes it.
+struct TraceModels {
+    caches: CacheHierarchy,
+    branch: BranchPredictor,
+    jitter: JitterDraws,
+}
+
+/// What the trace-determined models say about one instruction.
+#[derive(Debug, Clone, Copy)]
+struct TraceOutcome {
+    icache: AccessOutcome,
+    /// The data-cache outcome of a load or store.
+    dcache: Option<AccessOutcome>,
+    mispredicted: bool,
+}
+
+impl TraceModels {
+    fn new(cfg: &MachineConfig) -> Self {
+        TraceModels {
+            caches: CacheHierarchy::new(cfg),
+            branch: BranchPredictor::new(&cfg.branch),
+            jitter: JitterDraws {
+                rng: JitterRng::new(cfg.seed),
+                draws: Vec::with_capacity(8),
+            },
+        }
+    }
+
+    /// Moves the models past `instr`: the I-cache access, then the D-cache
+    /// access, then the branch predictor. Also starts the instruction's jitter
+    /// draws afresh.
+    fn advance(&mut self, instr: &crate::instruction::Instr) -> TraceOutcome {
+        self.jitter.draws.clear();
+        let icache = self.caches.access_instruction(instr.pc);
+        let dcache = instr
+            .class
+            .is_memory()
+            .then(|| self.caches.access_data(instr.mem_addr.unwrap_or(instr.pc)));
+        let mispredicted = instr.class == InstrClass::Branch && {
+            let info = instr.branch.unwrap_or(crate::instruction::BranchInfo {
+                taken: false,
+                target: instr.pc + 4,
+            });
+            self.branch
+                .predict_and_update(instr.pc, info.taken, info.target)
+                .mispredicted
+        };
+        TraceOutcome {
+            icache,
+            dcache,
+            mispredicted,
+        }
+    }
+}
+
+/// The jitter sample pairs of the current instruction's crossings, drawn
+/// lazily: the first lane to reach its j-th crossing draws pair j, and every
+/// later lane reads it.
+struct JitterDraws {
+    rng: JitterRng,
+    draws: Vec<[f64; 2]>,
+}
+
+/// One lane's view of the current instruction's [`JitterDraws`].
+struct LaneJitter<'a> {
+    shared: &'a mut JitterDraws,
+    used: usize,
+    /// Whether this is the pass's first lane, which always finds the draws
+    /// empty.
+    first: bool,
+    /// Whether this is the pass's last lane, whose draws no later lane reads.
+    last: bool,
+}
+
+impl LaneJitter<'_> {
+    // Skipping the lookup in the first lane and the store in the last one
+    // keeps a one-lane pass (both first and last) as fast as drawing straight
+    // from the RNG: the buffer round trip cost it ~4% of its run time on a
+    // 2-vCPU x86-64 host.
+    fn next(&mut self) -> [f64; 2] {
+        let j = self.used;
+        self.used += 1;
+        if !self.first {
+            if let Some(&pair) = self.shared.draws.get(j) {
+                return pair;
+            }
+        }
+        let pair = self.shared.rng.next_normal_pair();
+        if !self.last {
+            self.shared.draws.push(pair);
+        }
+        pair
+    }
+}
+
+/// One lane's state: everything that time and frequency shape.
 struct RunState {
     dvfs: DvfsEngine,
     sync: Synchronizer,
-    caches: CacheHierarchy,
-    branch: BranchPredictor,
     power_acct: EnergyAccount,
 
     fetch_pacer: StagePacer,
@@ -220,20 +327,21 @@ struct RunState {
     stats: SimStats,
 }
 
-/// Folds a finished run's model-held counters into its statistics.
-fn finalize_stats(mut st: RunState) -> SimStats {
+/// Folds a finished lane's model-held counters, and the pass's
+/// trace-determined ones, into its statistics.
+fn finalize_stats(mut st: RunState, models: &TraceModels) -> SimStats {
     st.stats.run_time = st.last_commit;
     st.stats.total_energy = st.power_acct.total();
     st.stats.domain_energy = PerDomain::from_fn(|d| st.power_acct.domain_total(d).as_units());
     st.stats.domain_active_cycles = PerDomain::from_fn(|d| st.power_acct.domain_active_cycles(d));
     st.stats.sync_crossings = st.sync.crossings();
     st.stats.sync_stalls = st.sync.stalls();
-    st.stats.branches = st.branch.lookups();
-    st.stats.branch_mispredicts = st.branch.mispredicts();
-    st.stats.l1d_accesses = st.caches.l1d().accesses();
-    st.stats.l1d_misses = st.caches.l1d().misses();
-    st.stats.l2_accesses = st.caches.l2().accesses();
-    st.stats.l2_misses = st.caches.l2().misses();
+    st.stats.branches = models.branch.lookups();
+    st.stats.branch_mispredicts = models.branch.mispredicts();
+    st.stats.l1d_accesses = models.caches.l1d().accesses();
+    st.stats.l1d_misses = models.caches.l1d().misses();
+    st.stats.l2_accesses = models.caches.l2().accesses();
+    st.stats.l2_misses = models.caches.l2().misses();
     st.stats
 }
 
@@ -277,13 +385,13 @@ impl Simulator {
             let mut recorder = FullRecord {
                 trace: EventTrace::for_instructions(if hint > 0 { hint } else { 4096 }),
             };
-            let stats = self.run_inner(iter, hooks, &mut recorder);
+            let stats = self.run_one(iter, hooks, &mut recorder);
             SimResult {
                 stats,
                 events: Some(recorder.trace),
             }
         } else {
-            let stats = self.run_inner(trace.into_iter(), hooks, &mut NoRecord);
+            let stats = self.run_one(trace.into_iter(), hooks, &mut NoRecord);
             SimResult {
                 stats,
                 events: None,
@@ -320,7 +428,7 @@ impl Simulator {
         F: FnMut(u64, &mut EventTrace),
     {
         let mut recorder = WindowedRecord::new(window_instructions, sink);
-        let stats = self.run_inner(trace.into_iter(), hooks, &mut recorder);
+        let stats = self.run_one(trace.into_iter(), hooks, &mut recorder);
         recorder.finish();
         SimResult {
             stats,
@@ -328,16 +436,23 @@ impl Simulator {
         }
     }
 
-    /// Runs `trace` once while carrying one fully independent state lane per
-    /// entry of `lanes`, returning each lane's statistics in lane order:
-    /// every trace item is fed to every lane's state in lane order, so each
-    /// lane's evolution is a pure function of the shared item stream and its
-    /// own hooks — bit-identical to running the trace once per lane with
-    /// [`Simulator::run`] and `record_events == false`. The win is paying the
-    /// trace decode (and iteration) cost once for N configurations. All lanes
-    /// share this simulator's machine and power model: a pass varies the
-    /// control policy, not the hardware. Event recording is not supported
-    /// here, and an empty lane set returns without touching the trace.
+    /// Runs `trace` once while carrying one timing lane per entry of `lanes`,
+    /// returning each lane's statistics in lane order.
+    ///
+    /// The pass owns the trace-determined models — the cache hierarchy, the
+    /// branch predictor and the synchronizer's jitter samples — and advances
+    /// them once per instruction; then every lane, in lane order, executes the
+    /// instruction against those shared outcomes under its own hooks. Each
+    /// lane's evolution is therefore a pure function of the item stream and
+    /// its own hooks — bit-identical to running the trace once per lane with
+    /// [`Simulator::run`] and `record_events == false`, including the branch,
+    /// L1D and L2 counters, which come from the shared models. The win is
+    /// paying trace decode, cache and branch simulation and jitter sampling
+    /// once for N configurations, with one copy of the cache models instead
+    /// of N. All lanes share this simulator's machine and power model: a pass
+    /// varies the control policy, not the hardware. Event recording is not
+    /// supported here, and an empty lane set returns without touching the
+    /// trace.
     ///
     /// ```
     /// use mcd_sim::config::MachineConfig;
@@ -364,53 +479,22 @@ impl Simulator {
         if lanes.is_empty() {
             return Vec::new();
         }
-        let mut states: Vec<RunState> = lanes
-            .iter()
-            .map(|hooks| {
-                let mut st = self.fresh_state(hooks.interval_ns());
-                if let Some(setting) = hooks.initial_setting() {
-                    st.dvfs.set_immediate(setting);
-                }
-                st
-            })
-            .collect();
-        let mut recorder = NoRecord;
-        for item in trace {
-            match item {
-                TraceItem::Marker(marker) => {
-                    for (st, hooks) in states.iter_mut().zip(lanes.iter_mut()) {
-                        st.stats.markers += 1;
-                        let action = hooks.on_marker(&marker, st.last_commit, st.instr_index);
-                        self.apply_action(st, action);
-                    }
-                }
-                TraceItem::Instr(instr) => {
-                    for (st, hooks) in states.iter_mut().zip(lanes.iter_mut()) {
-                        self.execute_instruction(st, &instr, &mut **hooks, &mut recorder);
-                    }
-                }
-            }
-        }
-        states.into_iter().map(finalize_stats).collect()
+        self.run_pass(trace.into_iter(), lanes, &mut NoRecord)
     }
 
-    /// A pristine per-run state for this simulator's machine configuration.
+    /// A pristine per-lane state for this simulator's machine configuration.
     /// `interval_len` is the controlling hooks' [`SimHooks::interval_ns`].
     fn fresh_state(&self, interval_len: Option<f64>) -> RunState {
         let cfg = &self.config;
         let sync = if cfg.synchronization_enabled {
-            let mut s = Synchronizer::new(cfg.sync_window_ps, cfg.jitter_sigma_ps, cfg.seed);
-            s.reset_counters();
-            s
+            Synchronizer::new(cfg.sync_window_ps, cfg.jitter_sigma_ps)
         } else {
-            Synchronizer::disabled(cfg.seed)
+            Synchronizer::disabled()
         };
 
         RunState {
             dvfs: DvfsEngine::new(cfg.grid.clone(), cfg.voltage_map.clone(), cfg.ramp),
             sync,
-            caches: CacheHierarchy::new(cfg),
-            branch: BranchPredictor::new(&cfg.branch),
             power_acct: EnergyAccount::new(),
             fetch_pacer: StagePacer::new(cfg.decode_width),
             retire_pacer: StagePacer::new(cfg.retire_width),
@@ -446,35 +530,92 @@ impl Simulator {
         }
     }
 
-    fn run_inner<I, H, R>(&self, trace: I, hooks: &mut H, recorder: &mut R) -> SimStats
+    /// A pass of one lane: the statistics of a plain run under `hooks`.
+    fn run_one<I, H, R>(&self, trace: I, hooks: &mut H, recorder: &mut R) -> SimStats
     where
         I: Iterator<Item = TraceItem>,
         H: SimHooks + ?Sized,
         R: Recorder,
     {
-        let mut st = self.fresh_state(hooks.interval_ns());
+        self.run_pass(trace, &mut [hooks], recorder)
+            .pop()
+            .expect("a one-lane pass yields one lane's statistics")
+    }
 
-        if let Some(setting) = hooks.initial_setting() {
-            // The run begins with the domains already at the requested operating
-            // points (no ramp): the setting describes the state the program
-            // enters the window with, not a mid-run transition.
-            st.dvfs.set_immediate(setting);
-        }
+    /// The one execution loop behind [`Simulator::run`],
+    /// [`Simulator::run_windowed`] and [`Simulator::run_lanes`]: per
+    /// instruction, advance the trace-determined models once, then execute
+    /// the instruction in every lane in lane order. `recorder` records the
+    /// events of a one-lane pass.
+    fn run_pass<I, H, R>(&self, trace: I, lanes: &mut [&mut H], recorder: &mut R) -> Vec<SimStats>
+    where
+        I: Iterator<Item = TraceItem>,
+        H: SimHooks + ?Sized,
+        R: Recorder,
+    {
+        debug_assert!(
+            !R::ACTIVE || lanes.len() == 1,
+            "event recording needs a one-lane pass"
+        );
+        let mut models = TraceModels::new(&self.config);
+        let mut states: Vec<RunState> = lanes
+            .iter()
+            .map(|hooks| {
+                let mut st = self.fresh_state(hooks.interval_ns());
+                if let Some(setting) = hooks.initial_setting() {
+                    // The run begins with the domains already at the requested
+                    // operating points (no ramp): the setting describes the
+                    // state the program enters the window with, not a mid-run
+                    // transition.
+                    st.dvfs.set_immediate(setting);
+                }
+                st
+            })
+            .collect();
 
         for item in trace {
             match item {
                 TraceItem::Marker(marker) => {
-                    st.stats.markers += 1;
-                    let action = hooks.on_marker(&marker, st.last_commit, st.instr_index);
-                    self.apply_action(&mut st, action);
+                    for (st, hooks) in states.iter_mut().zip(lanes.iter_mut()) {
+                        st.stats.markers += 1;
+                        let action = hooks.on_marker(&marker, st.last_commit, st.instr_index);
+                        self.apply_action(st, action);
+                    }
                 }
                 TraceItem::Instr(instr) => {
-                    self.execute_instruction(&mut st, &instr, hooks, recorder);
+                    let outcome = models.advance(&instr);
+                    let mut first_lane_draws = None;
+                    let lane_count = states.len();
+                    for (lane, (st, hooks)) in states.iter_mut().zip(lanes.iter_mut()).enumerate() {
+                        let mut jitter = LaneJitter {
+                            shared: &mut models.jitter,
+                            used: 0,
+                            first: lane == 0,
+                            last: lane + 1 == lane_count,
+                        };
+                        self.execute_instruction(
+                            st,
+                            &instr,
+                            outcome,
+                            &mut jitter,
+                            &mut **hooks,
+                            recorder,
+                        );
+                        let used = jitter.used;
+                        debug_assert_eq!(
+                            *first_lane_draws.get_or_insert(used),
+                            used,
+                            "lanes crossed domains a different number of times on one instruction"
+                        );
+                    }
                 }
             }
         }
 
-        finalize_stats(st)
+        states
+            .into_iter()
+            .map(|st| finalize_stats(st, &models))
+            .collect()
     }
 
     fn apply_action(&self, st: &mut RunState, action: HookAction) {
@@ -514,6 +655,8 @@ impl Simulator {
         &self,
         st: &mut RunState,
         instr: &crate::instruction::Instr,
+        outcome: TraceOutcome,
+        jitter: &mut LaneJitter<'_>,
         hooks: &mut H,
         recorder: &mut R,
     ) {
@@ -535,7 +678,7 @@ impl Simulator {
         let fetch_start = st.fetch_pacer.admit(fetch_ready, fe_period);
 
         // Instruction cache access.
-        let icache_outcome = st.caches.access_instruction(instr.pc);
+        let icache_outcome = outcome.icache;
         let mut fetch_latency = fe_freq.cycles_to_time(cfg.l1i.latency_cycles as f64);
         let fe_active_cycles = cfg.l1i.latency_cycles as f64 + DECODE_CYCLES;
         if icache_outcome.missed_l1() {
@@ -547,6 +690,7 @@ impl Simulator {
                 Domain::Memory,
                 mem_freq,
                 fetch_start,
+                || jitter.next(),
             );
             let l2_time = mem_freq.cycles_to_time(cfg.l2.latency_cycles as f64);
             let c2 = st.sync.crossing(
@@ -555,6 +699,7 @@ impl Simulator {
                 Domain::FrontEnd,
                 fe_freq,
                 fetch_start + l2_time,
+                || jitter.next(),
             );
             fetch_latency += c1.penalty + l2_time + c2.penalty;
             self.charge_active(
@@ -599,6 +744,7 @@ impl Simulator {
             exec_domain,
             exec_freq,
             dispatch_time,
+            || jitter.next(),
         );
         let mut issue_ready = dispatch_time + crossing.penalty;
 
@@ -631,6 +777,7 @@ impl Simulator {
                         exec_domain,
                         exec_freq,
                         prod_done,
+                        || jitter.next(),
                     );
                     ready += c.penalty;
                 }
@@ -643,11 +790,9 @@ impl Simulator {
         let base_cycles = instr.class.base_latency() as f64;
         let mut exec_cycles = base_cycles;
         let mut external_latency = TimeNs::ZERO;
-        if instr.class.is_memory() {
-            let addr = instr.mem_addr.unwrap_or(instr.pc);
-            let outcome = st.caches.access_data(addr);
+        if let Some(dcache) = outcome.dcache {
             exec_cycles += cfg.l1d.latency_cycles as f64;
-            match outcome {
+            match dcache {
                 AccessOutcome::L1Hit => {}
                 AccessOutcome::L2Hit => {
                     exec_cycles += cfg.l2.latency_cycles as f64;
@@ -686,32 +831,31 @@ impl Simulator {
         self.charge_active(st, exec_domain, exec_cycles, issue_start);
 
         // Branch resolution.
-        let mut was_mispredicted = false;
-        if instr.class == InstrClass::Branch {
-            let info = instr.branch.unwrap_or(crate::instruction::BranchInfo {
-                taken: false,
-                target: instr.pc + 4,
-            });
-            let outcome = st
-                .branch
-                .predict_and_update(instr.pc, info.taken, info.target);
-            if outcome.mispredicted {
-                was_mispredicted = true;
-                let c =
-                    st.sync
-                        .crossing(exec_domain, exec_freq, Domain::FrontEnd, fe_freq, complete);
-                st.redirect_time = complete
-                    + c.penalty
-                    + fe_freq.cycles_to_time(cfg.branch.mispredict_penalty as f64);
-            }
+        let was_mispredicted = outcome.mispredicted;
+        if was_mispredicted {
+            let c = st.sync.crossing(
+                exec_domain,
+                exec_freq,
+                Domain::FrontEnd,
+                fe_freq,
+                complete,
+                || jitter.next(),
+            );
+            st.redirect_time =
+                complete + c.penalty + fe_freq.cycles_to_time(cfg.branch.mispredict_penalty as f64);
         }
 
         // ------------------------------------------------------------------
         // Commit (in order, in the front-end domain).
         // ------------------------------------------------------------------
-        let back = st
-            .sync
-            .crossing(exec_domain, exec_freq, Domain::FrontEnd, fe_freq, complete);
+        let back = st.sync.crossing(
+            exec_domain,
+            exec_freq,
+            Domain::FrontEnd,
+            fe_freq,
+            complete,
+            || jitter.next(),
+        );
         let commit_ready = (complete + back.penalty).max(st.last_commit);
         let commit_time = st.retire_pacer.admit(commit_ready, fe_period);
 
@@ -888,7 +1032,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instruction::Instr;
+    use crate::instruction::{Instr, Marker};
 
     fn int_trace(n: usize) -> Vec<TraceItem> {
         (0..n)
@@ -1228,6 +1372,192 @@ mod tests {
             );
             assert_eq!(f.sync_crossings, s.sync_crossings);
             assert_eq!(f.sync_stalls, s.sync_stalls);
+        }
+    }
+
+    /// Asserts that two runs' statistics agree bit for bit in every field.
+    fn assert_stats_identical(got: &SimStats, want: &SimStats, lane: usize) {
+        // Destructuring names every field, so a new one cannot be skipped.
+        let SimStats {
+            instructions,
+            run_time,
+            total_energy,
+            domain_energy,
+            domain_active_cycles,
+            sync_crossings,
+            sync_stalls,
+            branches,
+            branch_mispredicts,
+            l1d_accesses,
+            l1d_misses,
+            l2_accesses,
+            l2_misses,
+            reconfigurations,
+            overhead_cycles,
+            markers,
+        } = want;
+        let counters = [
+            (got.instructions, *instructions, "instructions"),
+            (got.sync_crossings, *sync_crossings, "sync_crossings"),
+            (got.sync_stalls, *sync_stalls, "sync_stalls"),
+            (got.branches, *branches, "branches"),
+            (
+                got.branch_mispredicts,
+                *branch_mispredicts,
+                "branch_mispredicts",
+            ),
+            (got.l1d_accesses, *l1d_accesses, "l1d_accesses"),
+            (got.l1d_misses, *l1d_misses, "l1d_misses"),
+            (got.l2_accesses, *l2_accesses, "l2_accesses"),
+            (got.l2_misses, *l2_misses, "l2_misses"),
+            (got.reconfigurations, *reconfigurations, "reconfigurations"),
+            (got.markers, *markers, "markers"),
+        ];
+        for (g, w, name) in counters {
+            assert_eq!(g, w, "lane {lane}: {name}");
+        }
+        let mut reals = vec![
+            (got.run_time.as_ns(), run_time.as_ns(), "run_time"),
+            (
+                got.total_energy.as_units(),
+                total_energy.as_units(),
+                "total_energy",
+            ),
+            (got.overhead_cycles, *overhead_cycles, "overhead_cycles"),
+        ];
+        for d in Domain::ALL {
+            reals.push((got.domain_energy[d], domain_energy[d], "domain_energy"));
+            reals.push((
+                got.domain_active_cycles[d],
+                domain_active_cycles[d],
+                "domain_active_cycles",
+            ));
+        }
+        for (g, w, name) in reals {
+            assert_eq!(g.to_bits(), w.to_bits(), "lane {lane}: {name}");
+        }
+    }
+
+    /// A trace that exercises every trace-determined model: markers, branches
+    /// with an irregular direction (so some mispredict), loads and stores
+    /// over a footprint larger than the L2, and cross-domain dependences.
+    fn divergence_trace() -> Vec<TraceItem> {
+        use crate::instruction::{LoopId, Marker};
+        let mut items = Vec::new();
+        for i in 0..6000u64 {
+            if i % 400 == 0 {
+                items.push(TraceItem::Marker(Marker::LoopEnter { loop_id: LoopId(1) }));
+            }
+            let pc = 0x4000 + (i % 300) * 4;
+            let addr = (0x10_0000 + i.wrapping_mul(0x9E37_79B9) % (4 << 20)) & !7;
+            let instr = match i % 7 {
+                0 => Instr::op(pc, InstrClass::IntAlu).with_dep1(2),
+                1 => Instr::op(pc, InstrClass::FpMul).with_dep1(1).with_dep2(3),
+                2 => Instr::load(pc, addr).with_dep1(2),
+                3 => Instr::op(pc, InstrClass::FpAdd).with_dep1(1),
+                4 => Instr::store(pc, addr ^ 0x40),
+                5 => Instr::op(pc, InstrClass::IntMul).with_dep1(4),
+                _ => Instr::branch(pc, (i.wrapping_mul(0x2545_F491) >> 9) & 1 == 1, pc + 64),
+            };
+            items.push(TraceItem::Instr(instr));
+        }
+        items
+    }
+
+    /// An interval controller that alternates between two settings.
+    struct Alternating {
+        settings: [FrequencySetting; 2],
+        calls: usize,
+    }
+
+    impl SimHooks for Alternating {
+        fn interval_ns(&self) -> Option<f64> {
+            Some(700.0)
+        }
+        fn on_interval(
+            &mut self,
+            _stats: &IntervalStats,
+            _now: TimeNs,
+        ) -> Option<FrequencySetting> {
+            self.calls += 1;
+            Some(self.settings[self.calls % 2])
+        }
+    }
+
+    /// A marker hook that charges overhead at every marker and reconfigures
+    /// at every other one.
+    struct ChargingMarkers {
+        setting: FrequencySetting,
+        seen: u64,
+    }
+
+    impl SimHooks for ChargingMarkers {
+        fn on_marker(&mut self, _m: &Marker, _now: TimeNs, _i: u64) -> HookAction {
+            self.seen += 1;
+            HookAction {
+                reconfigure: self.seen.is_multiple_of(2).then_some(self.setting),
+                overhead_cycles: 25.0,
+                set_region: None,
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_with_diverging_timing_match_serial_runs_bit_for_bit() {
+        use crate::time::MegaHertz;
+        let machine = MachineConfig::default();
+        let sim = Simulator::new(machine.clone());
+        let trace = divergence_trace();
+        let at = |mhz: f64| FrequencySetting::uniform(MegaHertz::new(mhz)).quantized(&machine.grid);
+        let memory_slow = FrequencySetting::full_speed()
+            .with(Domain::Memory, MegaHertz::new(400.0))
+            .quantized(&machine.grid);
+        let make_lanes = || -> Vec<Box<dyn SimHooks>> {
+            vec![
+                Box::new(Pinned(at(900.0))),
+                Box::new(Pinned(memory_slow)),
+                Box::new(Alternating {
+                    settings: [at(600.0), at(1000.0)],
+                    calls: 0,
+                }),
+                Box::new(ChargingMarkers {
+                    setting: at(700.0),
+                    seen: 0,
+                }),
+            ]
+        };
+
+        let serial: Vec<SimStats> = make_lanes()
+            .iter_mut()
+            .map(|hooks| sim.run(trace.iter().copied(), &mut **hooks, false).stats)
+            .collect();
+        let mut hooks = make_lanes();
+        let mut lanes: Vec<&mut dyn SimHooks> = hooks
+            .iter_mut()
+            .map(|h| h.as_mut() as &mut dyn SimHooks)
+            .collect();
+        let fused = sim.run_lanes(trace.iter().copied(), &mut lanes);
+
+        // The lanes' timing really diverged, and the trace really exercised
+        // the shared models.
+        let times: Vec<u64> = serial
+            .iter()
+            .map(|s| s.run_time.as_ns().to_bits())
+            .collect();
+        for (i, t) in times.iter().enumerate() {
+            assert!(
+                !times[..i].contains(t),
+                "lane {i} repeats an earlier run time"
+            );
+        }
+        assert!(serial.iter().all(|s| s.sync_stalls > 0));
+        assert!(serial[2].reconfigurations > 0 && serial[3].reconfigurations > 0);
+        assert!(serial[0].branch_mispredicts > 0 && serial[0].l2_misses > 0);
+        assert_eq!(serial[3].overhead_cycles, 25.0 * serial[3].markers as f64);
+
+        assert_eq!(fused.len(), serial.len());
+        for (lane, (f, s)) in fused.iter().zip(&serial).enumerate() {
+            assert_stats_identical(f, s, lane);
         }
     }
 

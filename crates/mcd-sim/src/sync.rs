@@ -12,6 +12,13 @@
 //! crossing tracks the relative phase of the two clocks (derived from the
 //! crossing time and both periods) perturbed by jitter, and stalls exactly when
 //! the perturbed edge distance falls inside the synchronization window.
+//!
+//! The [`Synchronizer`] owns no noise source. Its caller supplies each
+//! crossing's two standard-normal jitter samples, normally drawn from a
+//! [`JitterRng`]. Whether a crossing happens depends only on the trace
+//! (domains, cache misses, mispredictions), never on time, so the simulator
+//! draws the samples once per simulation pass and every lane of the pass reads
+//! the same ones.
 
 use crate::domain::Domain;
 use crate::time::{MegaHertz, TimeNs};
@@ -62,6 +69,12 @@ impl JitterRng {
         }
         // Sum of 6 uniforms: mean 3, variance 6/12 = 0.5.
         (acc - 3.0) / 0.5f64.sqrt()
+    }
+
+    /// The jitter of one crossing: two standard-normal samples, one per clock
+    /// edge, in draw order (see [`Synchronizer::crossing`]).
+    pub fn next_normal_pair(&mut self) -> [f64; 2] {
+        [self.next_normal(), self.next_normal()]
     }
 }
 
@@ -141,19 +154,23 @@ pub struct CrossingOutcome {
     pub stalled: bool,
 }
 
-/// The inter-domain synchronization circuit.
+/// The inter-domain synchronization circuit: the window and jitter
+/// parameters plus crossing and stall counters. The jitter samples come from
+/// the caller.
 ///
 /// ```
-/// use mcd_sim::sync::Synchronizer;
+/// use mcd_sim::sync::{JitterRng, Synchronizer};
 /// use mcd_sim::domain::Domain;
 /// use mcd_sim::time::{MegaHertz, TimeNs};
-/// let mut sync = Synchronizer::new(300.0, 110.0, 1);
+/// let mut sync = Synchronizer::new(300.0, 110.0);
+/// let mut rng = JitterRng::new(1);
 /// let out = sync.crossing(
 ///     Domain::FrontEnd,
 ///     MegaHertz::new(1000.0),
 ///     Domain::Integer,
 ///     MegaHertz::new(1000.0),
 ///     TimeNs::new(17.0),
+///     || rng.next_normal_pair(),
 /// );
 /// // The penalty is either zero or exactly one consumer cycle (1 ns at 1 GHz).
 /// assert!(out.penalty.as_ns() == 0.0 || out.penalty.as_ns() == 1.0);
@@ -166,7 +183,6 @@ pub struct Synchronizer {
     window_ps: f64,
     /// Standard deviation of clock jitter in picoseconds (Table 1: 110 ps).
     jitter_sigma_ps: f64,
-    rng: JitterRng,
     stalls: u64,
     crossings: u64,
     enabled: bool,
@@ -177,12 +193,10 @@ impl Synchronizer {
     ///
     /// * `window_ps` — synchronization window in picoseconds (300 in Table 1).
     /// * `jitter_sigma_ps` — clock jitter standard deviation in picoseconds.
-    /// * `seed` — seed for the deterministic jitter stream.
-    pub fn new(window_ps: f64, jitter_sigma_ps: f64, seed: u64) -> Self {
+    pub fn new(window_ps: f64, jitter_sigma_ps: f64) -> Self {
         Synchronizer {
             window_ps,
             jitter_sigma_ps,
-            rng: JitterRng::new(seed),
             stalls: 0,
             crossings: 0,
             enabled: true,
@@ -192,8 +206,8 @@ impl Synchronizer {
     /// Creates a synchronizer that never stalls. This models the fully
     /// synchronous (single-clock) processor used to quantify the MCD design's
     /// inherent performance penalty.
-    pub fn disabled(seed: u64) -> Self {
-        let mut s = Synchronizer::new(300.0, 110.0, seed);
+    pub fn disabled() -> Self {
+        let mut s = Synchronizer::new(300.0, 110.0);
         s.enabled = false;
         s
     }
@@ -227,6 +241,12 @@ impl Synchronizer {
     ///
     /// Returns the extra consumer-domain delay (zero or one consumer cycle).
     /// Crossings within the same domain never stall.
+    ///
+    /// `jitter` yields the crossing's two standard-normal samples, the first
+    /// for the producer's clock edge and the second for the consumer's (see
+    /// [`JitterRng::next_normal_pair`]). It is called only for a real
+    /// crossing: a same-domain transfer or a disabled synchronizer draws
+    /// nothing.
     pub fn crossing(
         &mut self,
         producer: Domain,
@@ -234,6 +254,7 @@ impl Synchronizer {
         consumer: Domain,
         consumer_freq: MegaHertz,
         now: TimeNs,
+        jitter: impl FnOnce() -> [f64; 2],
     ) -> CrossingOutcome {
         if producer == consumer || !self.enabled {
             return CrossingOutcome {
@@ -255,8 +276,8 @@ impl Synchronizer {
         // synchronization window, that edge cannot be used and the value waits
         // one additional consumer cycle.
         let now_ps = now.as_ns() * 1000.0;
-        let jitter = self.rng.next_normal() * self.jitter_sigma_ps
-            - self.rng.next_normal() * self.jitter_sigma_ps;
+        let [producer_edge, consumer_edge] = jitter();
+        let jitter = producer_edge * self.jitter_sigma_ps - consumer_edge * self.jitter_sigma_ps;
         let phase = exact_rem_euclid(now_ps + jitter, t_cons);
         let distance_to_next_edge = t_cons - phase;
 
@@ -273,17 +294,11 @@ impl Synchronizer {
             }
         }
     }
-
-    /// Resets the stall/crossing counters (the jitter stream continues).
-    pub fn reset_counters(&mut self) {
-        self.stalls = 0;
-        self.crossings = 0;
-    }
 }
 
 impl Default for Synchronizer {
     fn default() -> Self {
-        Synchronizer::new(300.0, 110.0, 0x5EED)
+        Synchronizer::new(300.0, 110.0)
     }
 }
 
@@ -353,6 +368,7 @@ mod tests {
     #[test]
     fn same_domain_never_stalls() {
         let mut sync = Synchronizer::default();
+        let mut rng = JitterRng::new(0x5EED);
         for i in 0..1000 {
             let out = sync.crossing(
                 Domain::Integer,
@@ -360,15 +376,18 @@ mod tests {
                 Domain::Integer,
                 MegaHertz::new(1000.0),
                 TimeNs::new(i as f64 * 0.37),
+                || rng.next_normal_pair(),
             );
             assert!(!out.stalled);
         }
         assert_eq!(sync.crossings(), 0);
+        assert_eq!(rng, JitterRng::new(0x5EED), "no jitter was drawn");
     }
 
     #[test]
     fn disabled_synchronizer_never_stalls() {
-        let mut sync = Synchronizer::disabled(3);
+        let mut sync = Synchronizer::disabled();
+        let mut rng = JitterRng::new(3);
         for i in 0..1000 {
             let out = sync.crossing(
                 Domain::FrontEnd,
@@ -376,15 +395,18 @@ mod tests {
                 Domain::Memory,
                 MegaHertz::new(250.0),
                 TimeNs::new(i as f64 * 1.13),
+                || rng.next_normal_pair(),
             );
             assert!(!out.stalled);
             assert!(out.penalty.is_zero());
         }
+        assert_eq!(rng, JitterRng::new(3), "no jitter was drawn");
     }
 
     #[test]
     fn stall_rate_near_thirty_percent_at_equal_full_speed() {
         let mut sync = Synchronizer::default();
+        let mut rng = JitterRng::new(0x5EED);
         let f = MegaHertz::new(1000.0);
         for i in 0..50_000 {
             sync.crossing(
@@ -393,6 +415,7 @@ mod tests {
                 Domain::Integer,
                 f,
                 TimeNs::new(i as f64 * 0.7919),
+                || rng.next_normal_pair(),
             );
         }
         let rate = sync.stall_rate();
@@ -407,6 +430,7 @@ mod tests {
     #[test]
     fn slower_consumer_pays_larger_penalty() {
         let mut sync = Synchronizer::default();
+        let mut rng = JitterRng::new(0x5EED);
         let mut total_fast = 0.0;
         let mut total_slow = 0.0;
         for i in 0..20_000 {
@@ -417,6 +441,7 @@ mod tests {
                 Domain::FrontEnd,
                 MegaHertz::new(1000.0),
                 t,
+                || rng.next_normal_pair(),
             );
             total_fast += out_fast.penalty.as_ns();
             let out_slow = sync.crossing(
@@ -425,28 +450,12 @@ mod tests {
                 Domain::Memory,
                 MegaHertz::new(250.0),
                 t,
+                || rng.next_normal_pair(),
             );
             total_slow += out_slow.penalty.as_ns();
         }
         // A stalled crossing into a 250 MHz domain costs 4 ns instead of 1 ns,
         // even though stalls are rarer (window is capped by the faster clock).
         assert!(total_slow > total_fast * 0.5);
-    }
-
-    #[test]
-    fn counters_reset() {
-        let mut sync = Synchronizer::default();
-        sync.crossing(
-            Domain::FrontEnd,
-            MegaHertz::new(1000.0),
-            Domain::Integer,
-            MegaHertz::new(1000.0),
-            TimeNs::new(0.3),
-        );
-        assert_eq!(sync.crossings(), 1);
-        sync.reset_counters();
-        assert_eq!(sync.crossings(), 0);
-        assert_eq!(sync.stalls(), 0);
-        assert_eq!(sync.stall_rate(), 0.0);
     }
 }

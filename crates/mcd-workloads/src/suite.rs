@@ -5,9 +5,10 @@
 //! Benchmarks are organized in tiers by [`SuiteKind`]. [`suite`] keeps
 //! returning exactly the paper's nineteen batch programs (every figure
 //! binary's default); [`server_suite`] returns the second tier, and
-//! [`full_suite`] both. All tiers share one namespace: assembly goes through
-//! a checked [`Registry`] that rejects duplicate names across tiers, and
-//! [`benchmark`] looks names up across every tier.
+//! [`full_suite`] both. All tiers share one namespace, one static table of
+//! names, tiers and constructors: every lookup filters the table first and
+//! builds only the programs it returns, and [`benchmark`] looks names up
+//! (case-insensitively) across every tier.
 
 use crate::input::InputPair;
 use crate::program::Program;
@@ -60,31 +61,6 @@ impl std::fmt::Display for SuiteKind {
     }
 }
 
-/// Errors raised while assembling a benchmark registry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SuiteError {
-    /// Two benchmarks (possibly in different tiers) share a name. Names are
-    /// compared case-insensitively because [`benchmark`] looks them up that
-    /// way.
-    DuplicateName(String),
-}
-
-impl std::fmt::Display for SuiteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SuiteError::DuplicateName(name) => {
-                write!(
-                    f,
-                    "benchmark `{name}` is registered more than once (benchmark names \
-                     must be unique across all suite tiers)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for SuiteError {}
-
 /// One benchmark: its program model and input pair.
 #[derive(Debug, Clone)]
 pub struct Benchmark {
@@ -98,8 +74,83 @@ pub struct Benchmark {
     pub inputs: InputPair,
 }
 
+/// One registry row: a benchmark's name, tier and constructor.
+type Entry = (&'static str, SuiteKind, fn() -> (Program, InputPair));
+
+/// Every benchmark of every tier, in registry order: the paper's nineteen in
+/// the order its tables list them, then the second tier. Names are lowercase
+/// ASCII and unique across tiers (checked by the unit tests).
+const REGISTRY: [Entry; 25] = [
+    (
+        "adpcm decode",
+        SuiteKind::MediaBench,
+        programs::adpcm::decode,
+    ),
+    (
+        "adpcm encode",
+        SuiteKind::MediaBench,
+        programs::adpcm::encode,
+    ),
+    ("epic decode", SuiteKind::MediaBench, programs::epic::decode),
+    ("epic encode", SuiteKind::MediaBench, programs::epic::encode),
+    ("g721 decode", SuiteKind::MediaBench, programs::g721::decode),
+    ("g721 encode", SuiteKind::MediaBench, programs::g721::encode),
+    ("gsm decode", SuiteKind::MediaBench, programs::gsm::decode),
+    ("gsm encode", SuiteKind::MediaBench, programs::gsm::encode),
+    (
+        "jpeg compress",
+        SuiteKind::MediaBench,
+        programs::jpeg::compress,
+    ),
+    (
+        "jpeg decompress",
+        SuiteKind::MediaBench,
+        programs::jpeg::decompress,
+    ),
+    (
+        "mpeg2 decode",
+        SuiteKind::MediaBench,
+        programs::mpeg2::decode,
+    ),
+    (
+        "mpeg2 encode",
+        SuiteKind::MediaBench,
+        programs::mpeg2::encode,
+    ),
+    ("gzip", SuiteKind::SpecInt, programs::gzip::gzip),
+    ("vpr", SuiteKind::SpecInt, programs::vpr::vpr),
+    ("mcf", SuiteKind::SpecInt, programs::mcf::mcf),
+    ("swim", SuiteKind::SpecFp, programs::swim::swim),
+    ("applu", SuiteKind::SpecFp, programs::applu::applu),
+    ("art", SuiteKind::SpecFp, programs::art::art),
+    ("equake", SuiteKind::SpecFp, programs::equake::equake),
+    ("web serve", SuiteKind::Server, programs::server::web_serve),
+    ("kv store", SuiteKind::Server, programs::server::kv_store),
+    (
+        "media relay",
+        SuiteKind::Server,
+        programs::server::media_relay,
+    ),
+    (
+        "photo edit",
+        SuiteKind::Interactive,
+        programs::interactive::photo_edit,
+    ),
+    (
+        "sensor hub",
+        SuiteKind::Interactive,
+        programs::interactive::sensor_hub,
+    ),
+    (
+        "speech wake",
+        SuiteKind::Interactive,
+        programs::interactive::speech_wake,
+    ),
+];
+
 impl Benchmark {
-    fn new(name: &'static str, suite: SuiteKind, (program, inputs): (Program, InputPair)) -> Self {
+    fn build(&(name, suite, construct): &Entry) -> Self {
+        let (program, inputs) = construct();
         Benchmark {
             name,
             suite,
@@ -109,195 +160,63 @@ impl Benchmark {
     }
 }
 
-/// A checked collection of benchmarks: registration fails on duplicate names
-/// instead of silently shadowing an existing entry, so a lookup by name can
-/// never be ambiguous across tiers.
-#[derive(Debug, Default)]
-pub struct Registry {
-    benchmarks: Vec<Benchmark>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Registers one benchmark, rejecting names (case-insensitively) already
-    /// present in any tier.
-    pub fn register(&mut self, benchmark: Benchmark) -> Result<(), SuiteError> {
-        let lower = benchmark.name.to_lowercase();
-        if self
-            .benchmarks
-            .iter()
-            .any(|b| b.name.to_lowercase() == lower)
-        {
-            return Err(SuiteError::DuplicateName(benchmark.name.to_string()));
-        }
-        self.benchmarks.push(benchmark);
-        Ok(())
-    }
-
-    /// Registers a batch of benchmarks; the first duplicate aborts.
-    pub fn register_all(
-        &mut self,
-        benchmarks: impl IntoIterator<Item = Benchmark>,
-    ) -> Result<(), SuiteError> {
-        for b in benchmarks {
-            self.register(b)?;
-        }
-        Ok(())
-    }
-
-    /// The registered benchmarks, in registration order.
-    pub fn into_benchmarks(self) -> Vec<Benchmark> {
-        self.benchmarks
-    }
+/// The benchmarks whose name and tier satisfy `keep`, in registry order.
+/// Only the selected programs are constructed.
+pub fn select(keep: impl Fn(&str, SuiteKind) -> bool) -> Vec<Benchmark> {
+    REGISTRY
+        .iter()
+        .filter(|(name, kind, _)| keep(name, *kind))
+        .map(Benchmark::build)
+        .collect()
 }
 
 /// The paper's nineteen batch benchmarks, in the order its tables list them.
 pub fn suite() -> Vec<Benchmark> {
-    vec![
-        Benchmark::new(
-            "adpcm decode",
-            SuiteKind::MediaBench,
-            programs::adpcm::decode(),
-        ),
-        Benchmark::new(
-            "adpcm encode",
-            SuiteKind::MediaBench,
-            programs::adpcm::encode(),
-        ),
-        Benchmark::new(
-            "epic decode",
-            SuiteKind::MediaBench,
-            programs::epic::decode(),
-        ),
-        Benchmark::new(
-            "epic encode",
-            SuiteKind::MediaBench,
-            programs::epic::encode(),
-        ),
-        Benchmark::new(
-            "g721 decode",
-            SuiteKind::MediaBench,
-            programs::g721::decode(),
-        ),
-        Benchmark::new(
-            "g721 encode",
-            SuiteKind::MediaBench,
-            programs::g721::encode(),
-        ),
-        Benchmark::new("gsm decode", SuiteKind::MediaBench, programs::gsm::decode()),
-        Benchmark::new("gsm encode", SuiteKind::MediaBench, programs::gsm::encode()),
-        Benchmark::new(
-            "jpeg compress",
-            SuiteKind::MediaBench,
-            programs::jpeg::compress(),
-        ),
-        Benchmark::new(
-            "jpeg decompress",
-            SuiteKind::MediaBench,
-            programs::jpeg::decompress(),
-        ),
-        Benchmark::new(
-            "mpeg2 decode",
-            SuiteKind::MediaBench,
-            programs::mpeg2::decode(),
-        ),
-        Benchmark::new(
-            "mpeg2 encode",
-            SuiteKind::MediaBench,
-            programs::mpeg2::encode(),
-        ),
-        Benchmark::new("gzip", SuiteKind::SpecInt, programs::gzip::gzip()),
-        Benchmark::new("vpr", SuiteKind::SpecInt, programs::vpr::vpr()),
-        Benchmark::new("mcf", SuiteKind::SpecInt, programs::mcf::mcf()),
-        Benchmark::new("swim", SuiteKind::SpecFp, programs::swim::swim()),
-        Benchmark::new("applu", SuiteKind::SpecFp, programs::applu::applu()),
-        Benchmark::new("art", SuiteKind::SpecFp, programs::art::art()),
-        Benchmark::new("equake", SuiteKind::SpecFp, programs::equake::equake()),
-    ]
+    select(|_, kind| kind.is_batch())
 }
 
 /// The second workload tier: three server-style and three bursty/interactive
 /// benchmarks beyond the paper's nineteen.
 pub fn server_suite() -> Vec<Benchmark> {
-    vec![
-        Benchmark::new(
-            "web serve",
-            SuiteKind::Server,
-            programs::server::web_serve(),
-        ),
-        Benchmark::new("kv store", SuiteKind::Server, programs::server::kv_store()),
-        Benchmark::new(
-            "media relay",
-            SuiteKind::Server,
-            programs::server::media_relay(),
-        ),
-        Benchmark::new(
-            "photo edit",
-            SuiteKind::Interactive,
-            programs::interactive::photo_edit(),
-        ),
-        Benchmark::new(
-            "sensor hub",
-            SuiteKind::Interactive,
-            programs::interactive::sensor_hub(),
-        ),
-        Benchmark::new(
-            "speech wake",
-            SuiteKind::Interactive,
-            programs::interactive::speech_wake(),
-        ),
-    ]
-}
-
-/// Every benchmark of every tier, assembled through the duplicate-checked
-/// [`Registry`].
-pub fn try_full_suite() -> Result<Vec<Benchmark>, SuiteError> {
-    let mut registry = Registry::new();
-    registry.register_all(suite())?;
-    registry.register_all(server_suite())?;
-    Ok(registry.into_benchmarks())
+    select(|_, kind| !kind.is_batch())
 }
 
 /// Every benchmark of every tier: the paper's nineteen followed by the
 /// second tier.
-///
-/// # Panics
-///
-/// Panics if the static benchmark definitions register a duplicate name —
-/// a programming error that the suite's unit tests catch.
 pub fn full_suite() -> Vec<Benchmark> {
-    try_full_suite().expect("static benchmark registry has no duplicate names")
+    select(|_, _| true)
 }
 
 /// The benchmarks of one tier, in registry order.
 pub fn tier(kind: SuiteKind) -> Vec<Benchmark> {
-    full_suite()
-        .into_iter()
-        .filter(|b| b.suite == kind)
-        .collect()
+    select(|_, k| k == kind)
 }
 
 /// Looks up a single benchmark by name (case-insensitive), across all tiers.
 pub fn benchmark(name: &str) -> Option<Benchmark> {
+    // Registry names are lowercase ASCII, so comparing them ASCII-insensitively
+    // against the lowercased query matches exactly the names whose lowercase
+    // form equals it.
     let lower = name.to_lowercase();
-    full_suite()
-        .into_iter()
-        .find(|b| b.name.to_lowercase() == lower)
+    REGISTRY
+        .iter()
+        .find(|(entry, _, _)| entry.eq_ignore_ascii_case(&lower))
+        .map(Benchmark::build)
 }
 
 /// The names of all benchmarks across all tiers, in registry order (the
 /// paper's table order first, then the second tier).
 pub fn benchmark_names() -> Vec<&'static str> {
-    full_suite().into_iter().map(|b| b.name).collect()
+    REGISTRY.iter().map(|(name, _, _)| *name).collect()
 }
 
 /// The benchmark names of one tier, in registry order.
 pub fn benchmark_names_for(kind: SuiteKind) -> Vec<&'static str> {
-    tier(kind).into_iter().map(|b| b.name).collect()
+    REGISTRY
+        .iter()
+        .filter(|(_, k, _)| *k == kind)
+        .map(|(name, _, _)| *name)
+        .collect()
 }
 
 #[cfg(test)]
@@ -337,26 +256,36 @@ mod tests {
 
     #[test]
     fn names_are_unique_across_tiers() {
-        let mut names = benchmark_names();
-        let before = names.len();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), before);
-        assert!(try_full_suite().is_ok());
+        for (i, (name, _, _)) in REGISTRY.iter().enumerate() {
+            // Lowercase ASCII, which `benchmark`'s case-insensitive match
+            // relies on.
+            assert!(
+                name.bytes()
+                    .all(|b| !b.is_ascii_uppercase() && b.is_ascii()),
+                "`{name}` is not lowercase ASCII"
+            );
+            assert!(
+                REGISTRY[..i]
+                    .iter()
+                    .all(|(earlier, _, _)| !earlier.eq_ignore_ascii_case(name)),
+                "`{name}` is registered more than once"
+            );
+        }
     }
 
     #[test]
-    fn registry_rejects_duplicates_across_tiers() {
-        let mut registry = Registry::new();
-        registry.register_all(suite()).expect("paper tier is clean");
-        let mut clash = server_suite().remove(0);
-        clash.name = "MCF"; // case-insensitively collides with the SPEC tier
+    fn selections_keep_registry_order() {
+        let picked = select(|name, _| name == "mcf" || name == "sensor hub");
+        let names: Vec<&str> = picked.iter().map(|b| b.name).collect();
+        assert_eq!(names, ["mcf", "sensor hub"]);
         assert_eq!(
-            registry.register(clash),
-            Err(SuiteError::DuplicateName("MCF".to_string()))
+            suite().iter().map(|b| b.name).collect::<Vec<_>>(),
+            benchmark_names()[..19]
         );
-        // The failed registration did not corrupt the registry.
-        assert_eq!(registry.into_benchmarks().len(), 19);
+        assert_eq!(
+            server_suite().iter().map(|b| b.name).collect::<Vec<_>>(),
+            benchmark_names()[19..]
+        );
     }
 
     #[test]
