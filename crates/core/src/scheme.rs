@@ -4,14 +4,16 @@
 //! iterate a registry instead of hard-coding each comparison point.
 //!
 //! A scheme receives a [`SchemeContext`] describing one benchmark run: the
-//! benchmark itself, the machine model, the pre-generated reference trace, the
-//! full-speed MCD baseline statistics, and the outcomes of schemes that ran
-//! earlier in the registry (the global-DVS baseline uses this to match the
+//! benchmark itself, the machine model and the pre-generated reference trace.
+//! A scheme that declares [`DvfsScheme::reads_prior_outcomes`] also gets the
+//! full-speed MCD baseline statistics and the outcomes of schemes that ran
+//! earlier in the registry (the global-DVS baseline uses them to match the
 //! off-line oracle's run time). Every scheme does the same thing with it:
 //! [`DvfsScheme::prepare`] builds the controller — training, analysis and
 //! artifact lookups included — and hands back a [`Prepared`] lane; the
 //! [`Evaluator`](crate::service::Evaluator) then replays the reference trace
-//! under that lane, fused with every other lane of the same batch into one
+//! under that lane, fused with every other lane of the same batch — every
+//! scheme of every member, plus the baseline — into one
 //! [`Simulator::run_lanes`](mcd_sim::simulator::Simulator::run_lanes) pass.
 
 use crate::artifact::{
@@ -76,9 +78,13 @@ pub struct SchemeContext<'a> {
     /// output; cache keys assume the trace is determined by the benchmark and
     /// input (plus the trace length, which guards against truncation).
     pub reference_trace: &'a PackedTrace,
-    /// Full-speed MCD baseline statistics on the reference trace.
-    pub baseline: &'a SimStats,
-    /// Outcomes of the schemes that ran earlier in the registry.
+    /// Full-speed MCD baseline statistics on the reference trace. `None`
+    /// unless the scheme [reads prior outcomes](DvfsScheme::reads_prior_outcomes):
+    /// the executor computes the baseline in the same pass as the other
+    /// schemes' lanes.
+    pub baseline: Option<&'a SimStats>,
+    /// Outcomes of the schemes that ran earlier in the registry; empty
+    /// unless the scheme [reads prior outcomes](DvfsScheme::reads_prior_outcomes).
     pub prior: &'a [SchemeOutcome],
 }
 
@@ -279,12 +285,14 @@ fn training_key(ctx: &SchemeContext<'_>, config: &TrainingConfig) -> ArtifactKey
 
 /// One DVFS control scheme in the paper's comparison.
 ///
-/// Implementations are registered in a `Vec<Box<dyn DvfsScheme>>` and run in
-/// order by the [`Evaluator`](crate::service::Evaluator); schemes whose
-/// definition depends on another scheme's result (global DVS matches the
-/// off-line run time) read it from [`SchemeContext::prior`]. Adding a scheme
-/// means implementing [`DvfsScheme::prepare`] and registering it — the
-/// executor batches it like every other scheme.
+/// Implementations are registered in a `Vec<Box<dyn DvfsScheme>>` and
+/// prepared in order by the [`Evaluator`](crate::service::Evaluator); schemes
+/// whose definition depends on another scheme's result (global DVS matches
+/// the off-line run time) say so with
+/// [`reads_prior_outcomes`](DvfsScheme::reads_prior_outcomes) and read it
+/// from [`SchemeContext::prior`]. Adding a scheme means implementing
+/// [`DvfsScheme::prepare`] and registering it — the executor batches it like
+/// every other scheme.
 pub trait DvfsScheme: fmt::Debug + Send + Sync {
     /// Canonical machine-readable name, unique within a registry.
     fn name(&self) -> &'static str;
@@ -299,6 +307,15 @@ pub trait DvfsScheme: fmt::Debug + Send + Sync {
     fn configure(&mut self, config: &EvaluationConfig) -> Result<(), McdError> {
         let _ = config;
         Ok(())
+    }
+
+    /// Whether [`prepare`](DvfsScheme::prepare) reads the baseline and the
+    /// outcomes of earlier schemes ([`SchemeContext::baseline`],
+    /// [`SchemeContext::prior`]). The executor runs every lane queued so far
+    /// before preparing such a scheme; every other scheme is prepared with
+    /// neither, and its lane joins one fused pass with the rest.
+    fn reads_prior_outcomes(&self) -> bool {
+        false
     }
 
     /// Builds the scheme's controller for one benchmark. Expensive shared
@@ -497,17 +514,23 @@ impl DvfsScheme for GlobalDvsScheme {
         "global".to_string()
     }
 
+    fn reads_prior_outcomes(&self) -> bool {
+        true
+    }
+
     fn prepare(&self, ctx: &SchemeContext<'_>, _: &mut Pools) -> Result<Prepared, McdError> {
-        let matched =
-            ctx.prior_outcome(self.match_scheme)
-                .ok_or_else(|| McdError::MissingDependency {
-                    scheme: self.name().to_string(),
-                    requires: self.match_scheme.to_string(),
-                })?;
+        let missing = |requires: &str| McdError::MissingDependency {
+            scheme: self.name().to_string(),
+            requires: requires.to_string(),
+        };
+        let matched = ctx
+            .prior_outcome(self.match_scheme)
+            .ok_or_else(|| missing(self.match_scheme))?;
+        let baseline = ctx.baseline.ok_or_else(|| missing("baseline"))?;
         let result = run_global_dvs(
             ctx.reference_trace,
             ctx.machine,
-            ctx.baseline.run_time.as_ns(),
+            baseline.run_time.as_ns(),
             matched.result.stats.run_time.as_ns(),
         );
         Ok(Prepared::Finished(result.stats))
@@ -857,12 +880,35 @@ mod tests {
             benchmark: &bench,
             machine: &machine,
             reference_trace: &trace,
-            baseline: &baseline,
+            baseline: Some(&baseline),
             prior: &[],
         };
         let err = GlobalDvsScheme::default()
             .prepare(&ctx, &mut Pools::default())
             .unwrap_err();
         assert!(matches!(err, McdError::MissingDependency { .. }));
+
+        // It also needs the baseline, which only a scheme that reads prior
+        // outcomes is given.
+        let global = GlobalDvsScheme::default();
+        assert!(global.reads_prior_outcomes());
+        let prior = [SchemeOutcome {
+            name: names::OFFLINE.to_string(),
+            label: "off-line".to_string(),
+            result: SchemeResult::new(baseline.clone(), &baseline),
+        }];
+        let ctx = SchemeContext {
+            baseline: None,
+            prior: &prior,
+            ..ctx
+        };
+        let err = global.prepare(&ctx, &mut Pools::default()).unwrap_err();
+        assert_eq!(
+            err,
+            McdError::MissingDependency {
+                scheme: names::GLOBAL.to_string(),
+                requires: "baseline".to_string(),
+            }
+        );
     }
 }

@@ -4,9 +4,7 @@ use crate::artifact::codec;
 use crate::error::McdError;
 use crate::evaluation::{BenchmarkEvaluation, EvaluationConfig, SchemeResult};
 use crate::fault::{FaultPlan, FaultSite, InjectedPanic};
-use crate::scheme::{
-    full_registry, DvfsScheme, Lane, Pools, Prepared, SchemeContext, SchemeOutcome,
-};
+use crate::scheme::{full_registry, DvfsScheme, Pools, Prepared, SchemeContext, SchemeOutcome};
 use crate::service::job::{EvalBatch, EvalJob, JobId};
 use crate::service::scheduler::{PushOutcome, ShardedScheduler, TokenBucket};
 use crate::service::stream::{EvalEvent, ResultStream};
@@ -106,57 +104,77 @@ impl AdmissionStats {
     }
 }
 
-/// Counters of the evaluator's baseline memo.
+/// Counters of the evaluator's baseline memo, one lookup per batch group.
 ///
-/// A *miss* is a `(benchmark, machine)` pair whose reference trace and
-/// full-speed baseline had to be computed; a *hit* is a job that reused them.
-/// After a sweep of `n` configurations over `b` benchmarks, `misses == b` and
-/// `hits == (n - 1) * b` — each pair was computed exactly once.
+/// A *miss* is a lookup that found no memo entry for its `(benchmark,
+/// machine)` pair, so it produced the reference trace (generated, or loaded
+/// from the artifact cache); a *hit* is a lookup that reused it. The trace is
+/// produced exactly once per pair: a concurrent lookup of the same pair
+/// waits for it. After a sweep of `n` configurations over `b` benchmarks,
+/// `misses == b` and `hits == (n - 1) * b`. The full-speed baseline is not
+/// part of the lookup: it is a lane of the group's pass, counted in
+/// [`BatchStats::baselines_computed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoStats {
-    /// Jobs served from the memo.
+    /// Lookups served from the memo.
     pub hits: u64,
-    /// Jobs that computed (and memoized) their baseline.
+    /// Lookups that produced (and memoized) the reference trace.
     pub misses: u64,
 }
 
 impl MemoStats {
-    /// Total baseline lookups (one per processed job).
+    /// Total memo lookups (one per processed batch group).
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
 }
 
 /// The memoized per-`(benchmark, machine)` artifacts every job on that pair
-/// shares: the reference trace and the full-speed MCD baseline statistics.
+/// shares: the reference trace, published before any scheme is prepared
+/// (preparing reads it), and the full-speed MCD baseline statistics, stored
+/// after the first pass that ran the baseline lane.
+///
+/// Until the baseline is stored, every group on the pair runs its own
+/// baseline lane: two groups that look the pair up concurrently may both
+/// compute it. Their results are bit-identical (the baseline is a pure
+/// function of trace and machine); the first store wins and both groups
+/// report the stored value.
 #[derive(Debug)]
 struct BaselineArtifacts {
     trace: PackedTrace,
-    baseline: SimStats,
+    baseline: OnceLock<SimStats>,
 }
 
 /// Counters of batched execution. Every submission is executed as a batch:
 /// an [`Evaluator::submit_batch`] group is one, and each job of
 /// [`Evaluator::submit_all`] is a group of one member.
 ///
+/// A group replays its reference trace in one fused pass: one lane per
+/// member per scheme that does not read earlier outcomes, plus one
+/// full-speed baseline lane when the memo holds no baseline yet. A scheme
+/// that reads earlier outcomes (global DVS) is prepared after that pass and
+/// runs its own simulations, which count as neither passes nor lanes; if it
+/// returned a lane instead, the group would run a second pass.
+///
 /// After a cold 10-point batch over one benchmark running offline + profile,
 /// expect `groups == 1`, `members == 10`, `baselines_computed == 1`,
-/// `baselines_reused == 9`, `passes == 2` (one per scheme) and `lanes == 20`;
-/// the same ten jobs through `submit_all` count ten groups and twenty
-/// one-lane passes.
+/// `baselines_reused == 9`, `passes == 1` and `lanes == 21` (twenty scheme
+/// lanes and the baseline lane); the same ten jobs through `submit_all`
+/// count ten groups and ten passes, with 21 lanes between them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Batch groups processed.
     pub groups: u64,
     /// Member jobs across those groups.
     pub members: u64,
-    /// Batches whose first member computed the shared baseline.
+    /// Baseline lanes run: groups that found no stored baseline. Concurrent
+    /// groups on one pair may each run one (see [`MemoStats`]).
     pub baselines_computed: u64,
-    /// Members served by a baseline another job (or batch member) computed.
+    /// Members served by a baseline another group (or batch member) computed.
     pub baselines_reused: u64,
-    /// Fused simulation passes (one per scheme with ≥ 1 lane per group).
+    /// Simulation passes: one per group with at least one lane.
     pub passes: u64,
-    /// Configuration lanes across those passes.
+    /// Lanes across those passes, baseline lanes included.
     pub lanes: u64,
 }
 
@@ -212,15 +230,12 @@ struct Shared {
 }
 
 impl Shared {
-    /// The memoized reference trace and baseline for one benchmark, computing
-    /// them exactly once per `(benchmark, machine)` pair — concurrent jobs on
-    /// the same pair block on the initializing job instead of recomputing.
-    /// Returns the artifacts and whether they came out of the memo.
-    fn baseline_for(
-        &self,
-        bench: &Benchmark,
-        machine: &MachineConfig,
-    ) -> (Arc<BaselineArtifacts>, bool) {
+    /// The memo entry of one benchmark, producing its reference trace exactly
+    /// once per `(benchmark, machine)` pair — concurrent jobs on the same
+    /// pair block on the initializing job instead of recomputing. The
+    /// baseline is left to the caller's pass (see [`BaselineArtifacts`]).
+    fn baseline_for(&self, bench: &Benchmark) -> Arc<BaselineArtifacts> {
+        let machine = &self.config.machine;
         let key = baseline_key(bench, machine);
         let slot = {
             let mut map = self.baselines.lock().expect("memo lock never poisoned");
@@ -243,10 +258,10 @@ impl Shared {
                     codec::encode_trace,
                     || generate_packed(&bench.program, &bench.inputs.reference),
                 );
-                let baseline = Simulator::new(machine.clone())
-                    .run(trace.iter(), &mut NullHooks, false)
-                    .stats;
-                Arc::new(BaselineArtifacts { trace, baseline })
+                Arc::new(BaselineArtifacts {
+                    trace,
+                    baseline: OnceLock::new(),
+                })
             })
             .clone();
         if computed {
@@ -254,7 +269,7 @@ impl Shared {
         } else {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
         }
-        (artifacts, !computed)
+        artifacts
     }
 }
 
@@ -557,9 +572,9 @@ impl Evaluator {
     }
 
     /// Submits a validated [`EvalBatch`]: the whole group goes to one worker,
-    /// which pays for the shared baseline once and runs the members as
-    /// parallel configuration lanes of fused simulation passes (one trace
-    /// pass per scheme). Events, ordering guarantees, and per-member results
+    /// which pays for the shared baseline once and runs every member's
+    /// schemes as parallel configuration lanes of one fused simulation pass.
+    /// Events, ordering guarantees, and per-member results
     /// are exactly those of [`submit_all`](Evaluator::submit_all) with the
     /// same jobs — batching only changes wall-clock time, counted in
     /// [`batch_stats`](Evaluator::batch_stats).
@@ -807,19 +822,30 @@ fn worker_loop(shared: &Shared, worker: usize) {
 }
 
 /// One member of a batch while the batch is being processed: its registry,
-/// the outcomes accumulated so far (in registry order), and whether it has
-/// already failed.
+/// the schemes it prepared whose outcomes await the next pass, the outcomes
+/// recorded so far (in registry order), and whether it has already failed.
 struct BatchMember<'a> {
     id: JobId,
     benchmark_name: String,
     events: mpsc::Sender<EvalEvent>,
     job: EvalJob,
     registry: Vec<Box<dyn DvfsScheme>>,
+    pending: Vec<PendingOutcome>,
     outcomes: Vec<SchemeOutcome>,
     failed: bool,
     /// Set when this member's terminal event goes out; the worker's
     /// `catch_unwind` backstop fails only members whose flag is still unset.
     terminal_sent: &'a Cell<bool>,
+}
+
+/// A prepared scheme whose outcome is recorded at the group's next flush:
+/// a lane of that flush's pass, or statistics the scheme produced itself.
+struct PendingOutcome {
+    /// The scheme's position in the full registry.
+    rank: usize,
+    name: &'static str,
+    label: String,
+    prepared: Prepared,
 }
 
 impl BatchMember<'_> {
@@ -844,26 +870,19 @@ impl BatchMember<'_> {
 }
 
 /// Runs one group end to end on this worker — the evaluator's only
-/// executor; a lone job is a group of one. Per member the events arrive in
-/// the documented lifecycle order and the schemes run in registry order;
-/// across members the group shares one baseline lookup, one set of artifact
-/// [`Pools`] (one capture/training pass per shared histogram key), and one
-/// fused multi-lane simulation pass per scheme. Failures are isolated: a
-/// member whose scheme errors emits its `JobFailed` and drops out; the rest
-/// of the batch continues. The same holds for an injected worker panic,
-/// drawn once per member: the panicking member fails with
-/// [`McdError::Fault`] and the batch carries on without it. `sent` are the
-/// per-member terminal markers (parallel to `queued`) the worker's panic
-/// backstop reads.
+/// executor; a lone job is a group of one. Validates every member's
+/// registry (a member whose registry is invalid fails before any baseline
+/// work), then hands the rest to [`execute`]. The injected worker panic is
+/// drawn here, once per member, under its own `catch_unwind`: the panicking
+/// member fails with [`McdError::Fault`] and the batch carries on without
+/// it. `sent` are the per-member terminal markers (parallel to `queued`) the
+/// worker's panic backstop reads.
 fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, sent: &[Cell<bool>]) {
     shared.batch_groups.fetch_add(1, Ordering::Relaxed);
     shared
         .batch_members
         .fetch_add(queued.len() as u64, Ordering::Relaxed);
 
-    // Validate every member's registry before paying for the baseline. The
-    // per-member injection point lives here too, under its own
-    // `catch_unwind`, giving batches member-granular panic isolation.
     let mut members: Vec<BatchMember<'_>> = Vec::with_capacity(queued.len());
     for (
         QueuedJob {
@@ -885,6 +904,7 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, sent: &[Cell<bool>]) {
             events,
             job,
             registry: Vec::new(),
+            pending: Vec::new(),
             outcomes: Vec::new(),
             failed: false,
             terminal_sent,
@@ -898,50 +918,74 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, sent: &[Cell<bool>]) {
             Err(payload) => member.fail(panic_error(payload)),
         }
     }
-    if members.is_empty() {
-        return;
+    if !members.is_empty() {
+        execute(shared, members);
     }
+}
 
-    // One baseline serves the whole batch: jobs cannot override the machine,
-    // and EvalJob::batch guaranteed a single benchmark.
-    let machine = &shared.config.machine;
-    let (artifacts, memo_hit) = shared.baseline_for(members[0].job.benchmark(), machine);
-    if memo_hit {
-        shared
-            .batch_baselines_reused
-            .fetch_add(members.len() as u64, Ordering::Relaxed);
-    } else {
-        shared
-            .batch_baselines_computed
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .batch_baselines_reused
-            .fetch_add(members.len() as u64 - 1, Ordering::Relaxed);
-    }
-    for (i, member) in members.iter().enumerate() {
-        let _ = member.events.send(EvalEvent::BaselineReady {
-            job: member.id,
-            benchmark: member.benchmark_name.clone(),
-            // Members after the first share the baseline the batch obtained.
-            memo_hit: memo_hit || i > 0,
-        });
-    }
-
-    // Schemes run in full-registry order, which every member's (subset)
-    // registry follows, so a member's `global` finds its matched scheme among
-    // the member's prior outcomes.
-    let simulator = Simulator::new(machine.clone());
+/// Evaluates validated members in one fused replay of their reference
+/// trace.
+///
+/// Every member prepares its schemes in full-registry order (scheme by
+/// scheme across the members, so the batch's [`Pools`] serve each shared
+/// capture and training input once), and each prepared lane joins a single
+/// [`Simulator::run_lanes`] pass together with the full-speed baseline lane
+/// when the memo holds no baseline yet. A scheme that
+/// [reads prior outcomes](DvfsScheme::reads_prior_outcomes) flushes the
+/// pass first and is prepared with the baseline and the member's recorded
+/// outcomes; the end of the registry flushes whatever is left.
+///
+/// Per member the events are `BaselineReady` (after the first pass), then
+/// one `SchemeFinished` per scheme in registry order, all of a pass's
+/// arriving together after it, then `JobCompleted`. A member whose
+/// `prepare` fails emits `JobFailed` at once and drops out, its queued lanes
+/// unrun; the other members' lanes and outcomes are unaffected.
+fn execute(shared: &Shared, mut members: Vec<BatchMember<'_>>) {
+    // One memo entry serves the whole batch: jobs cannot override the
+    // machine, and EvalJob::batch guaranteed a single benchmark.
+    let artifacts = shared.baseline_for(members[0].job.benchmark());
+    let mut group = FusedGroup {
+        simulator: Simulator::new(shared.config.machine.clone()),
+        artifacts,
+        announced: false,
+    };
     let mut pools = Pools::default();
-    for scheme in full_registry(true, true) {
-        run_scheme(
-            shared,
-            &mut members,
-            scheme.name(),
-            &simulator,
-            &mut pools,
-            &artifacts,
-        );
+    for (rank, scheme) in full_registry(true, true).iter().enumerate() {
+        let name = scheme.name();
+        let reads_prior = members.iter().any(|m| {
+            !m.failed
+                && m.registry
+                    .iter()
+                    .any(|s| s.name() == name && s.reads_prior_outcomes())
+        });
+        if reads_prior {
+            group.flush(shared, &mut members);
+        }
+        for member in members.iter_mut().filter(|m| !m.failed) {
+            let Some(scheme) = member.registry.iter().find(|s| s.name() == name) else {
+                continue;
+            };
+            let reads = scheme.reads_prior_outcomes();
+            let ctx = SchemeContext {
+                benchmark: member.job.benchmark(),
+                machine: group.simulator.config(),
+                reference_trace: &group.artifacts.trace,
+                baseline: group.artifacts.baseline.get().filter(|_| reads),
+                prior: if reads { &member.outcomes } else { &[] },
+            };
+            let label = scheme.label();
+            match scheme.prepare(&ctx, &mut pools) {
+                Ok(prepared) => member.pending.push(PendingOutcome {
+                    rank,
+                    name,
+                    label,
+                    prepared,
+                }),
+                Err(error) => member.fail(error),
+            }
+        }
     }
+    group.flush(shared, &mut members);
 
     for member in members {
         if member.failed {
@@ -952,69 +996,124 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, sent: &[Cell<bool>]) {
             job: member.id,
             evaluation: BenchmarkEvaluation {
                 name: member.benchmark_name,
-                baseline: artifacts.baseline.clone(),
+                baseline: group
+                    .artifacts
+                    .baseline
+                    .get()
+                    .cloned()
+                    .expect("a flush with live members stores the baseline"),
                 schemes: member.outcomes,
             },
         });
     }
 }
 
-/// Runs the named scheme for every member that has it: each member prepares
-/// its lane (drawing shared inputs from `pools`), then all lanes replay the
-/// reference trace in one fused pass. A scheme error fails its member only.
-fn run_scheme(
-    shared: &Shared,
-    members: &mut [BatchMember<'_>],
-    name: &'static str,
-    simulator: &Simulator,
-    pools: &mut Pools,
-    artifacts: &BaselineArtifacts,
-) {
-    let outcome = |label, stats| SchemeOutcome {
-        name: name.to_string(),
-        label,
-        result: SchemeResult::new(stats, &artifacts.baseline),
-    };
-    let mut lanes: Vec<(usize, String, Box<dyn Lane>)> = Vec::new();
-    for (i, member) in members.iter_mut().enumerate() {
-        if member.failed {
-            continue;
+/// The shared state of one group's fused execution.
+struct FusedGroup {
+    simulator: Simulator,
+    artifacts: Arc<BaselineArtifacts>,
+    /// Whether the live members have had their `BaselineReady`.
+    announced: bool,
+}
+
+impl FusedGroup {
+    /// Runs every lane the live members queued — plus the baseline lane
+    /// while the memo holds no baseline — in one pass, then records each live
+    /// member's pending outcomes in registry order. A failed member's
+    /// pending lanes are dropped unrun: a job sends nothing after its
+    /// `JobFailed`. The first flush also sends each live member its
+    /// `BaselineReady`. A flush with nothing to run records without a pass;
+    /// one with no live member does nothing.
+    fn flush(&mut self, shared: &Shared, members: &mut [BatchMember<'_>]) {
+        if members.iter().all(|m| m.failed) {
+            return;
         }
-        let Some(scheme) = member.registry.iter().find(|s| s.name() == name) else {
-            continue;
-        };
-        let label = scheme.label();
-        let ctx = SchemeContext {
-            benchmark: member.job.benchmark(),
-            machine: simulator.config(),
-            reference_trace: &artifacts.trace,
-            baseline: &artifacts.baseline,
-            prior: &member.outcomes,
-        };
-        match scheme.prepare(&ctx, pools) {
-            Ok(Prepared::Lane(lane)) => lanes.push((i, label, lane)),
-            Ok(Prepared::Finished(stats)) => member.record(outcome(label, stats)),
-            Err(error) => member.fail(error),
-        }
-    }
-    if lanes.is_empty() {
-        return;
-    }
-    shared.batch_passes.fetch_add(1, Ordering::Relaxed);
-    shared
-        .batch_lanes
-        .fetch_add(lanes.len() as u64, Ordering::Relaxed);
-    let stats = {
-        let mut boxed: Vec<Box<dyn SimHooks + '_>> =
-            lanes.iter().map(|(_, _, lane)| lane.hooks()).collect();
-        let mut hooks: Vec<&mut dyn SimHooks> = boxed
-            .iter_mut()
-            .map(|h| h.as_mut() as &mut dyn SimHooks)
+        let computes_baseline = self.artifacts.baseline.get().is_none();
+        // The live members' lanes as (member, pending) indices, scheme by
+        // scheme as they were prepared. Lanes of one scheme run side by side,
+        // which keeps the pass's per-lane hook dispatch predictable:
+        // interleaving the members' schemes made wide sweep passes slower
+        // than the per-scheme passes they replace.
+        let mut order: Vec<(usize, usize)> = members
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| !m.failed)
+            .flat_map(|(i, m)| {
+                m.pending
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| matches!(p.prepared, Prepared::Lane(_)))
+                    .map(move |(j, _)| (i, j))
+            })
             .collect();
-        simulator.run_lanes(artifacts.trace.iter(), &mut hooks)
-    };
-    for ((i, label, _), stats) in lanes.into_iter().zip(stats) {
-        members[i].record(outcome(label, stats));
+        order.sort_by_key(|&(i, j)| members[i].pending[j].rank);
+        let mut stats = {
+            let mut hooks: Vec<Box<dyn SimHooks + '_>> = Vec::new();
+            if computes_baseline {
+                hooks.push(Box::new(NullHooks));
+            }
+            hooks.extend(order.iter().filter_map(
+                |&(i, j)| match &members[i].pending[j].prepared {
+                    Prepared::Lane(lane) => Some(lane.hooks()),
+                    Prepared::Finished(_) => None,
+                },
+            ));
+            if hooks.is_empty() {
+                Vec::new()
+            } else {
+                shared.batch_passes.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .batch_lanes
+                    .fetch_add(hooks.len() as u64, Ordering::Relaxed);
+                let mut lanes: Vec<&mut dyn SimHooks> = hooks
+                    .iter_mut()
+                    .map(|h| h.as_mut() as &mut dyn SimHooks)
+                    .collect();
+                self.simulator
+                    .run_lanes(self.artifacts.trace.iter(), &mut lanes)
+            }
+        }
+        .into_iter();
+        if computes_baseline {
+            shared
+                .batch_baselines_computed
+                .fetch_add(1, Ordering::Relaxed);
+            let computed = stats.next().expect("the baseline lane ran");
+            // First store wins; a concurrent group's baseline is bit-identical.
+            let _ = self.artifacts.baseline.set(computed);
+        }
+        for (&(i, j), lane_stats) in order.iter().zip(stats) {
+            members[i].pending[j].prepared = Prepared::Finished(lane_stats);
+        }
+        let baseline = self.artifacts.baseline.get().expect("stored above");
+        let announce = !std::mem::replace(&mut self.announced, true);
+        let mut memo_hit = !computes_baseline;
+        for member in members.iter_mut().filter(|m| !m.failed) {
+            if announce {
+                let _ = member.events.send(EvalEvent::BaselineReady {
+                    job: member.id,
+                    benchmark: member.benchmark_name.clone(),
+                    memo_hit,
+                });
+                if memo_hit {
+                    shared
+                        .batch_baselines_reused
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                // Members after the first share the baseline it obtained.
+                memo_hit = true;
+            }
+            for pending in std::mem::take(&mut member.pending) {
+                let Prepared::Finished(stats) = pending.prepared else {
+                    unreachable!("every live lane ran in the pass above")
+                };
+                member.record(SchemeOutcome {
+                    name: pending.name.to_string(),
+                    label: pending.label,
+                    result: SchemeResult::new(stats, baseline),
+                });
+            }
+        }
     }
 }
 
@@ -1116,11 +1215,12 @@ mod tests {
         assert_eq!(stats.members, 3);
         assert_eq!(stats.baselines_computed, 1);
         assert_eq!(stats.baselines_reused, 2);
-        // offline (3 lanes), online (1), profile (3) fuse; global returns
-        // finished statistics instead of a lane.
-        assert_eq!(stats.passes, 3);
-        assert_eq!(stats.lanes, 7);
-        assert!((stats.lanes_per_pass() - 7.0 / 3.0).abs() < 1e-12);
+        // One pass: offline (3 lanes), online (1), profile (3) and the
+        // baseline lane; global is prepared after it and returns finished
+        // statistics instead of a lane.
+        assert_eq!(stats.passes, 1);
+        assert_eq!(stats.lanes, 8);
+        assert!((stats.lanes_per_pass() - 8.0).abs() < 1e-12);
         // One member computed the memoized baseline, two reused it.
         let memo = evaluator.memo_stats();
         assert_eq!(memo.misses, 1);
@@ -1158,6 +1258,133 @@ mod tests {
             }
         }
         assert_eq!((completed, failed), (1, 1));
+    }
+
+    /// Stands in for the profile scheme with a `prepare` that always fails,
+    /// after the member's earlier schemes have queued their lanes.
+    #[derive(Debug)]
+    struct FailingProfile;
+
+    impl DvfsScheme for FailingProfile {
+        fn name(&self) -> &'static str {
+            crate::scheme::names::PROFILE
+        }
+
+        fn prepare(&self, _: &SchemeContext<'_>, _: &mut Pools) -> Result<Prepared, McdError> {
+            Err(McdError::InvalidConfig("prepare fails on purpose".into()))
+        }
+    }
+
+    /// Every event of one job, reduced to its kind (the scheme name for
+    /// `SchemeFinished`), and the evaluation it completed with.
+    fn drain_events(rx: &mpsc::Receiver<EvalEvent>) -> (Vec<String>, Option<BenchmarkEvaluation>) {
+        let mut completed = None;
+        let kinds = rx
+            .try_iter()
+            .map(|event| match event {
+                EvalEvent::BaselineReady { .. } => "baseline".to_string(),
+                EvalEvent::SchemeFinished { outcome, .. } => outcome.name,
+                EvalEvent::JobCompleted { evaluation, .. } => {
+                    completed = Some(evaluation);
+                    "completed".to_string()
+                }
+                EvalEvent::JobFailed { .. } => "failed".to_string(),
+                other => panic!("executor sent an unexpected event: {other:?}"),
+            })
+            .collect();
+        (kinds, completed)
+    }
+
+    #[test]
+    fn a_failed_prepare_drops_the_members_queued_lanes_and_nothing_else() {
+        use crate::scheme::names;
+
+        let bench = mcd_workloads::suite::benchmark("adpcm decode").unwrap();
+        let healthy = || EvalJob::new(bench.clone()).with_global(true);
+        let alone = Evaluator::builder()
+            .build()
+            .submit(healthy())
+            .collect()
+            .expect("the healthy job succeeds alone")
+            .remove(0);
+
+        // Member 0 queues its offline and online lanes, then fails in its
+        // profile `prepare`; members 1 and 2 are healthy.
+        let evaluator = Evaluator::builder().build();
+        let shared = &evaluator.shared;
+        let sent: Vec<Cell<bool>> = (0..3).map(|_| Cell::new(false)).collect();
+        let mut receivers = Vec::new();
+        let mut members = Vec::new();
+        for (i, terminal_sent) in sent.iter().enumerate() {
+            let job = healthy();
+            let mut registry = job
+                .build_registry(&job.effective_config(&shared.config, 1))
+                .expect("valid registry");
+            if i == 0 {
+                let profile = registry
+                    .iter()
+                    .position(|s| s.name() == names::PROFILE)
+                    .expect("profile is registered");
+                registry[profile] = Box::new(FailingProfile);
+            }
+            let (events, rx) = mpsc::channel();
+            receivers.push(rx);
+            members.push(BatchMember {
+                id: JobId(i as u64),
+                benchmark_name: bench.name.to_string(),
+                events,
+                job,
+                registry,
+                pending: Vec::new(),
+                outcomes: Vec::new(),
+                failed: false,
+                terminal_sent,
+            });
+        }
+        execute(shared, members);
+
+        // The failed member ends at its failure: no baseline, no outcome of
+        // the lanes it had queued.
+        let (kinds, evaluation) = drain_events(&receivers[0]);
+        assert_eq!(kinds, ["failed"]);
+        assert!(evaluation.is_none());
+        assert!(sent[0].get());
+        // The others see the documented lifecycle, in registry order, and
+        // their outcomes are bit-identical to the job evaluated alone.
+        let lifecycle = [
+            "baseline",
+            names::OFFLINE,
+            names::ONLINE,
+            names::PROFILE,
+            names::GLOBAL,
+            "completed",
+        ];
+        for rx in &receivers[1..] {
+            let (kinds, evaluation) = drain_events(rx);
+            assert_eq!(kinds, lifecycle);
+            let evaluation = evaluation.expect("healthy member completes");
+            assert_eq!(
+                evaluation.baseline.run_time.as_ns().to_bits(),
+                alone.baseline.run_time.as_ns().to_bits()
+            );
+            assert_eq!(evaluation.schemes.len(), alone.schemes.len());
+            for (a, b) in evaluation.schemes.iter().zip(&alone.schemes) {
+                assert_eq!(a.name, b.name);
+                assert_eq!(
+                    a.result.stats.run_time.as_ns().to_bits(),
+                    b.result.stats.run_time.as_ns().to_bits()
+                );
+                assert_eq!(
+                    a.result.stats.total_energy.as_units().to_bits(),
+                    b.result.stats.total_energy.as_units().to_bits()
+                );
+            }
+        }
+        // The dropped lanes never ran: one pass of the two healthy members'
+        // three lanes each plus the baseline lane.
+        let stats = evaluator.batch_stats();
+        assert_eq!((stats.passes, stats.lanes), (1, 7));
+        assert_eq!((stats.baselines_computed, stats.baselines_reused), (1, 1));
     }
 
     #[test]

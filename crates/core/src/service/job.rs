@@ -196,9 +196,9 @@ impl EvalJob {
 
     /// Groups several jobs over the *same* benchmark into an [`EvalBatch`]
     /// for [`Evaluator::submit_batch`](crate::service::Evaluator::submit_batch):
-    /// the whole group is processed by one worker in batched simulation
-    /// passes (one baseline lookup, N configuration lanes per trace pass)
-    /// instead of N independent jobs. Results are bit-identical either way.
+    /// the whole group is processed by one worker in one batched simulation
+    /// pass (one baseline lookup, a lane per member and scheme) instead of
+    /// N independent jobs. Results are bit-identical either way.
     ///
     /// Fails with [`McdError::InvalidConfig`] if `jobs` is empty or the jobs
     /// name different benchmarks (a batch shares one reference trace).
@@ -221,8 +221,8 @@ impl EvalJob {
 /// and submitted via
 /// [`Evaluator::submit_batch`](crate::service::Evaluator::submit_batch).
 ///
-/// All members share the batch's single reference trace and baseline; per
-/// scheme the members run as parallel lanes of one fused simulation pass
+/// All members share the batch's single reference trace and baseline; their
+/// schemes run as parallel lanes of one fused simulation pass
 /// (see [`Simulator::run_lanes`](mcd_sim::simulator::Simulator::run_lanes)),
 /// and members whose configs differ only in the slowdown target additionally
 /// share one capture/DAG/shaker pass through the batch's artifact pools.

@@ -20,19 +20,25 @@
 //!   [`Admission::Rejected`] outcomes instead of unbounded memory growth.
 //! * **Share baselines**: the service memoizes reference traces and
 //!   full-speed baselines per `(benchmark, machine)` fingerprint, so a sweep
-//!   submitting many configurations of the same benchmarks computes each
-//!   trace and baseline exactly once, across *different* configurations.
-//!   [`Evaluator::memo_stats`] exposes the hit/miss counters.
-//! * **One executor**: every submission runs as a batch — an
+//!   submitting many configurations of the same benchmarks produces each
+//!   trace exactly once and, jobs on one pair running one after another,
+//!   each baseline once, across *different* configurations (two groups
+//!   that run concurrently before the baseline is stored may both compute
+//!   it, bit-identically). [`Evaluator::memo_stats`] exposes the hit/miss
+//!   counters.
+//! * **One executor, one pass**: every submission runs as a batch — an
 //!   [`Evaluator::submit_batch`] group is one, and each job of
 //!   [`Evaluator::submit_all`] is a batch of one. A worker takes a whole
 //!   batch, asks every member's schemes to
 //!   [`prepare`](crate::scheme::DvfsScheme::prepare) their controllers
 //!   (sharing capture and training work through the batch's
-//!   [`Pools`](crate::scheme::Pools)), and replays the reference trace once
-//!   per scheme with one lane per member
+//!   [`Pools`](crate::scheme::Pools)), and replays the reference trace
+//!   *once* for the whole group: one lane per member per scheme, plus the
+//!   full-speed baseline as one more lane when the memo has none
 //!   ([`Simulator::run_lanes`](mcd_sim::simulator::Simulator::run_lanes)).
-//!   [`Evaluator::batch_stats`] counts the groups, passes and lanes.
+//!   A scheme that reads earlier outcomes (global DVS) is prepared after
+//!   that pass. [`Evaluator::batch_stats`] counts the groups, passes and
+//!   lanes.
 //! * **Stream results** ([`ResultStream`]): results arrive incrementally as
 //!   events instead of all at once at the end.
 //!
@@ -51,18 +57,26 @@
 //!   terminal [`EvalEvent::JobRejected`] instead.
 //! * [`EvalEvent::JobStarted`] — a worker picked the job up; carries the
 //!   queue latency (`queued_for`) and the depth left behind.
-//! * [`EvalEvent::BaselineReady`] — the job's reference trace and baseline
-//!   exist (`memo_hit` says whether another job already paid for them).
+//! * [`EvalEvent::BaselineReady`] — the job's baseline exists: sent after
+//!   the group's simulation pass, which computes it as a lane unless the
+//!   memo already held it (`memo_hit` says whether another job paid for it).
 //! * [`EvalEvent::SchemeFinished`] — one per scheme in the job's registry, in
 //!   registry order, each carrying the scheme's [`SchemeOutcome`]
-//!   (see [`crate::scheme`]).
+//!   (see [`crate::scheme`]). The schemes replayed in the group's pass
+//!   finish together: their events arrive in a burst right after
+//!   `BaselineReady`; a scheme that reads earlier outcomes (global DVS)
+//!   follows once it has run.
 //! * [`EvalEvent::JobCompleted`] / [`EvalEvent::JobFailed`] — terminal; a
 //!   completed job carries the full
 //!   [`BenchmarkEvaluation`](crate::evaluation::BenchmarkEvaluation). A failed
 //!   job never poisons the rest of its batch. A job rejected at
 //!   registry-construction time (an unknown scheme name, or a slowdown
 //!   target outside `[0, 1)` — [`McdError::InvalidConfig`](crate::McdError))
-//!   fails straight from `JobStarted`, before any baseline work.
+//!   fails straight from `JobStarted`, before any baseline work. So does a
+//!   job whose scheme fails to prepare before the pass: its lanes are
+//!   dropped unrun and it sends no `BaselineReady` or `SchemeFinished`. A
+//!   scheme that fails after the pass (global DVS without its matched
+//!   scheme) fails the job after the outcomes recorded so far.
 //!
 //! Events of different jobs interleave arbitrarily; the stream ends after the
 //! last job's terminal event. [`ResultStream::collect`] recovers the old
@@ -80,15 +94,15 @@
 //! let evaluator = Evaluator::builder().parallelism(2).build();
 //! let bench = mcd_workloads::suite::benchmark("adpcm decode").expect("known");
 //!
-//! // A two-point slowdown sweep over one benchmark: the reference trace and
-//! // baseline are computed once and shared across both jobs.
+//! // A two-point slowdown sweep over one benchmark: the reference trace is
+//! // produced once and shared across both jobs.
 //! let stream = evaluator.submit_all(vec![
 //!     EvalJob::new(bench.clone()).with_slowdown(0.04),
 //!     EvalJob::new(bench).with_slowdown(0.10),
 //! ]);
 //! let evals = stream.collect().expect("both jobs succeed");
 //! assert_eq!(evals.len(), 2);
-//! assert_eq!(evaluator.memo_stats().misses, 1); // one baseline computed...
+//! assert_eq!(evaluator.memo_stats().misses, 1); // one trace produced...
 //! assert_eq!(evaluator.memo_stats().hits, 1); // ...and reused once
 //! let sparing = evals[0].metrics(names::OFFLINE).expect("offline ran");
 //! let aggressive = evals[1].metrics(names::OFFLINE).expect("offline ran");

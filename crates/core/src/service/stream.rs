@@ -14,12 +14,17 @@ use std::time::Duration;
 /// Per job the order is always `JobQueued` → `JobStarted` → `BaselineReady`
 /// → zero or more `SchemeFinished` → exactly one of `JobCompleted` /
 /// `JobFailed` (a job whose registry is invalid — e.g. an unknown scheme
-/// name — fails fast, jumping from `JobStarted` straight to `JobFailed`
-/// without paying for a baseline). A job turned away by admission control
-/// emits a single terminal `JobRejected` instead. Events of *different* jobs
-/// interleave arbitrarily — that interleaving is the point: a caller watching
-/// the stream sees each scheme result the moment it exists instead of waiting
-/// for the whole batch.
+/// name — or whose scheme fails to prepare before the group's simulation
+/// pass fails fast, jumping from `JobStarted` straight to `JobFailed`). A
+/// job turned away by admission control emits a single terminal
+/// `JobRejected` instead. A job's group replays the reference trace once
+/// for all of its members' schemes, so `BaselineReady` and the
+/// `SchemeFinished` events of that pass arrive together after it, still in
+/// registry order; a scheme prepared after the pass (global DVS) follows.
+/// Events of *different* jobs interleave arbitrarily — that interleaving is
+/// the point: a caller watching the stream sees each job's results as soon
+/// as its group's pass is done instead of waiting for the whole
+/// submission.
 ///
 /// `JobQueued` and `JobStarted` double as the service's saturation gauges:
 /// they carry the queue depth (in jobs) at enqueue and dequeue time, and
@@ -58,14 +63,17 @@ pub enum EvalEvent {
         /// Queue depth in jobs just after this job was dequeued.
         depth: usize,
     },
-    /// The job's reference trace and full-speed baseline are available.
+    /// The job's full-speed baseline is available: sent after the group's
+    /// simulation pass, right before the job's first `SchemeFinished`.
     BaselineReady {
         /// The job's identity.
         job: JobId,
         /// Benchmark name, for display.
         benchmark: String,
-        /// True when the baseline came out of the evaluator's memo (another
-        /// job on the same benchmark and machine already computed it).
+        /// True when the job did not pay for the baseline: it came out of
+        /// the evaluator's memo (another job on the same benchmark and
+        /// machine already computed it), or an earlier member of the job's
+        /// batch computed it in the shared pass.
         memo_hit: bool,
     },
     /// One scheme of the job's registry finished.

@@ -151,7 +151,7 @@ fn main() -> ExitCode {
 
         let memo = evaluator.memo_stats();
         eprintln!(
-            "  baselines: {} computed, {} reused across {} lookups",
+            "  reference traces: {} produced, {} reused across {} lookups",
             memo.misses,
             memo.hits,
             memo.lookups()

@@ -75,11 +75,15 @@ fn main() -> ExitCode {
             println!();
         }
         let memo = evaluator.memo_stats();
+        let batch = evaluator.batch_stats();
         eprintln!(
-            "  baselines: {} computed, {} reused across {} jobs",
+            "  reference traces: {} produced, {} reused across {} jobs; \
+             baselines: {} computed, {} reused",
             memo.misses,
             memo.hits,
-            memo.lookups()
+            memo.lookups(),
+            batch.baselines_computed,
+            batch.baselines_reused
         );
         report_cache();
         Ok(())

@@ -12,7 +12,6 @@
 
 pub mod cli;
 pub mod loadtest;
-pub mod timing;
 pub mod tournament;
 
 use mcd_dvfs::artifact::ArtifactCache;

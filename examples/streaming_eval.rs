@@ -144,14 +144,14 @@ fn run() -> Result<(), McdError> {
         "no job failed",
     )?;
 
-    let memo = evaluator.memo_stats();
+    let batch = evaluator.batch_stats();
     println!();
     println!(
         "ok: {} events from {} jobs streamed per-job; baselines computed {}, reused {}",
         events.len(),
         job_ids.len(),
-        memo.misses,
-        memo.hits
+        batch.baselines_computed,
+        batch.baselines_reused
     );
     Ok(())
 }

@@ -66,10 +66,6 @@ loadtest-smoke:
 chaos seed="42":
     cargo run --release --bin loadtest -- --chaos-only --smoke --fault-seed {{seed}}
 
-# Run the micro-benchmarks (the criterion-style harness in crates/mcd-bench).
-microbench:
-    cargo bench
-
 # Streaming-evaluation smoke test: three jobs on one Evaluator, asserting
 # per-job event delivery before the batch completes (the CI step).
 stream-smoke:

@@ -621,9 +621,12 @@ fn server_tier_is_deterministic_across_parallelism() {
 /// reference is N one-member batches, computed once per benchmark for all
 /// eight configurations; each N-member batch must reproduce the matching
 /// prefix bit for bit. What this checks is lane isolation and pool sharing:
-/// members share one fused trace pass per scheme and (for the analysis
-/// schemes) one capture/shaker pass, so any leak of state between lanes or
-/// any pooled artifact that differs from a member's own shows up here. The registry-coverage assertion at the end makes the property
+/// members share one fused trace pass and (for the analysis schemes) one
+/// capture/shaker pass, so any leak of state between lanes or any pooled
+/// artifact that differs from a member's own shows up here. Both sides run
+/// through the fused pass; the plain-`Simulator::run` reference is
+/// `fused_outcomes_match_plain_runs_of_the_same_prepared_lanes`. The
+/// registry-coverage assertion at the end makes the property
 /// self-extending: a newly registered scheme is automatically subject to it
 /// unless explicitly exempted below with a reason.
 #[test]
@@ -714,6 +717,89 @@ fn batched_lanes_match_serial_submission_bitwise() {
                     assert_eq!(bs.instructions, ss.instructions);
                 }
             }
+        }
+    }
+}
+
+/// The fused pass against an independent reference: every outcome of a
+/// full-registry job (one pass: every lane-shaped scheme plus the baseline
+/// lane, then global DVS) equals a plain one-lane `Simulator::run` of the
+/// same prepared lane, and the job's baseline equals a plain `NullHooks`
+/// run, on one paper-tier and one server-tier benchmark. The whole
+/// `SimStats` is compared through its `Debug` text, which prints every
+/// float in round-trip form.
+#[test]
+fn fused_outcomes_match_plain_runs_of_the_same_prepared_lanes() {
+    use mcd_dvfs::evaluation::{EvaluationConfig, SchemeResult};
+    use mcd_dvfs::scheme::{configured_registry, Pools, Prepared, SchemeContext, SchemeOutcome};
+    use mcd_dvfs::service::{EvalJob, Evaluator};
+
+    let config = EvaluationConfig {
+        include_global: true,
+        include_zoo: true,
+        ..EvaluationConfig::default()
+    };
+    for bench_name in ["adpcm decode", "web serve"] {
+        let bench = mcd_dvfs::error::find_benchmark(bench_name).expect("known benchmark");
+        let evaluator = Evaluator::builder().config(config.clone()).build();
+        let fused = evaluator
+            .submit(EvalJob::new(bench.clone()))
+            .collect()
+            .expect("full-registry job succeeds")
+            .remove(0);
+        let stats = evaluator.batch_stats();
+        assert_eq!(stats.passes, 1, "{bench_name}: one fused pass");
+        assert_eq!(stats.lanes, 7, "{bench_name}: six scheme lanes + baseline");
+
+        let simulator = Simulator::new(config.machine.clone());
+        let trace = generate_packed(&bench.program, &bench.inputs.reference);
+        let baseline = simulator.run(trace.iter(), &mut NullHooks, false).stats;
+        assert_eq!(
+            format!("{:?}", fused.baseline),
+            format!("{baseline:?}"),
+            "{bench_name}: baseline lane diverged from a NullHooks run"
+        );
+
+        let mut pools = Pools::default();
+        let mut reference: Vec<SchemeOutcome> = Vec::new();
+        for scheme in configured_registry(&config).expect("registry configures") {
+            let reads = scheme.reads_prior_outcomes();
+            let ctx = SchemeContext {
+                benchmark: &bench,
+                machine: &config.machine,
+                reference_trace: &trace,
+                baseline: reads.then_some(&baseline),
+                prior: if reads { &reference } else { &[] },
+            };
+            let stats = match scheme.prepare(&ctx, &mut pools).expect("scheme prepares") {
+                Prepared::Lane(lane) => {
+                    simulator
+                        .run(trace.iter(), lane.hooks().as_mut(), false)
+                        .stats
+                }
+                Prepared::Finished(stats) => stats,
+            };
+            reference.push(SchemeOutcome {
+                name: scheme.name().to_string(),
+                label: scheme.label(),
+                result: SchemeResult::new(stats, &baseline),
+            });
+        }
+        assert_eq!(
+            fused.schemes.len(),
+            7,
+            "{bench_name}: the full registry ran"
+        );
+        assert_eq!(fused.schemes.len(), reference.len());
+        for (f, r) in fused.schemes.iter().zip(&reference) {
+            assert_eq!((&f.name, &f.label), (&r.name, &r.label));
+            assert_eq!(
+                format!("{:?}", f.result.stats),
+                format!("{:?}", r.result.stats),
+                "{bench_name}/{}: fused lane diverged from its plain run",
+                f.name
+            );
+            assert_eq!(f.result.metrics, r.result.metrics);
         }
     }
 }
