@@ -88,6 +88,19 @@ impl CacheStats {
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
+
+    /// The field-wise sum of `parts`.
+    fn sum<'a>(parts: impl IntoIterator<Item = &'a CacheStats>) -> CacheStats {
+        parts
+            .into_iter()
+            .fold(CacheStats::default(), |acc, s| CacheStats {
+                hits: acc.hits + s.hits,
+                misses: acc.misses + s.misses,
+                writes: acc.writes + s.writes,
+                errors: acc.errors + s.errors,
+                lock_waits: acc.lock_waits + s.lock_waits,
+            })
+    }
 }
 
 /// One artifact file in the cache directory.
@@ -104,23 +117,18 @@ pub struct CacheEntry {
 /// A content-addressed on-disk artifact cache.
 ///
 /// Handles are shared through an `Arc` (the cache itself is not `Clone`, so
-/// the counters cannot silently fork); the counters are atomic so concurrent
-/// evaluation threads can use one cache.
+/// the counters cannot silently fork); the counters sit behind a lock so
+/// concurrent evaluation threads can use one cache.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
     dir: Option<PathBuf>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writes: AtomicU64,
-    errors: AtomicU64,
-    lock_waits: AtomicU64,
     /// Age after which another process's publication lock is presumed
     /// abandoned (crashed holder) and stolen; `None` means
     /// [`DEFAULT_LOCK_STALE`].
     lock_stale: Option<Duration>,
-    /// Per-kind counter snapshots, keyed by the artifact kind. The incremental
-    /// re-analysis tests (and the CI smoke steps) assert on *which* kinds
-    /// missed, not just how many lookups did.
+    /// The counters, one set per artifact kind; [`ArtifactCache::stats`] is
+    /// their sum. The incremental re-analysis tests (and the CI smoke steps)
+    /// assert on *which* kinds missed, not just how many lookups did.
     by_kind: Mutex<HashMap<&'static str, CacheStats>>,
     /// Fault-injection plan consulted on every read, write, and lock
     /// acquisition; the default plan is disabled and costs one boolean load.
@@ -265,15 +273,10 @@ impl ArtifactCache {
         self.dir.as_ref().map(|d| d.join(key.file_name()))
     }
 
-    /// A snapshot of the cache's counters.
+    /// A snapshot of the cache's counters: the sum over every kind.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            lock_waits: self.lock_waits.load(Ordering::Relaxed),
-        }
+        let map = self.by_kind.lock().expect("kind-stats lock never poisoned");
+        CacheStats::sum(map.values())
     }
 
     /// The counters of one artifact kind (zeros for a kind never looked up).
@@ -300,17 +303,14 @@ impl ArtifactCache {
     }
 
     fn hit(&self, kind: &'static str) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
         self.for_kind(kind, |s| s.hits += 1);
     }
 
     fn miss(&self, kind: &'static str) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
         self.for_kind(kind, |s| s.misses += 1);
     }
 
     fn error(&self, kind: &'static str) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
         self.for_kind(kind, |s| s.errors += 1);
     }
 
@@ -352,7 +352,6 @@ impl ArtifactCache {
                 Err(err) if err.kind() == io::ErrorKind::AlreadyExists => {
                     if !waited {
                         waited = true;
-                        self.lock_waits.fetch_add(1, Ordering::Relaxed);
                         self.for_kind(key.kind, |s| s.lock_waits += 1);
                     }
                     // Steal locks whose holder is gone: age from mtime, with
@@ -616,10 +615,7 @@ impl ArtifactCache {
                 .map_err(|_| ())
         });
         match written {
-            Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
-                self.for_kind(key.kind, |s| s.writes += 1);
-            }
+            Ok(()) => self.for_kind(key.kind, |s| s.writes += 1),
             Err(_) => {
                 let _ = fs::remove_file(&tmp);
                 self.error(key.kind);
@@ -795,8 +791,8 @@ impl ArtifactCache {
 
     /// Appends this process's counter snapshot to the cache directory's
     /// `stats.log`, so `cache_stats` can report hit/miss behaviour across
-    /// processes: one aggregate line, then one `kind=<kind>` line per kind
-    /// this process touched. A no-op for disabled caches.
+    /// processes: one `kind=<kind>` line per kind this process touched. A
+    /// no-op for disabled caches.
     pub fn flush_stats_log(&self) {
         let Some(dir) = self.dir.as_ref() else {
             return;
@@ -805,10 +801,7 @@ impl ArtifactCache {
         if s.lookups() == 0 && s.writes == 0 {
             return;
         }
-        let mut log = format!(
-            "hits={} misses={} writes={} errors={} lock_waits={}\n",
-            s.hits, s.misses, s.writes, s.errors, s.lock_waits
-        );
+        let mut log = String::new();
         for (kind, k) in self.kind_stats_all() {
             log.push_str(&format!(
                 "kind={kind} hits={} misses={} writes={} errors={} lock_waits={}\n",
@@ -845,20 +838,10 @@ impl ArtifactCache {
         }
     }
 
-    /// Sums every aggregate counter snapshot recorded in `dir`'s `stats.log`
-    /// (the per-kind `kind=` lines are skipped — they re-state the aggregate
-    /// lines and would double-count).
+    /// Sums every counter snapshot recorded in `dir`'s `stats.log`: the
+    /// total of [`ArtifactCache::aggregated_kind_stats`].
     pub fn aggregated_stats(dir: &Path) -> CacheStats {
-        let mut total = CacheStats::default();
-        let Ok(log) = fs::read_to_string(dir.join(STATS_LOG)) else {
-            return total;
-        };
-        for line in log.lines() {
-            if !line.starts_with("kind=") {
-                Self::parse_stats_line(line, &mut total);
-            }
-        }
-        total
+        CacheStats::sum(Self::aggregated_kind_stats(dir).iter().map(|(_, s)| s))
     }
 
     /// Sums the per-kind counter snapshots recorded in `dir`'s `stats.log`
@@ -1218,6 +1201,50 @@ mod tests {
         let total = ArtifactCache::aggregated_stats(&dir);
         assert_eq!(total.hits, 2);
         assert_eq!(total.writes, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn totals_are_the_sum_of_the_kinds_in_memory_and_in_the_log() {
+        let dir = unique_dir("totals");
+        let cache = ArtifactCache::new(&dir);
+        // A miss, a write and a hit on one kind ...
+        let key = sample_key();
+        assert_eq!(cache.load_schedule(&key), None);
+        cache.store_schedule(&key, &sample_schedule());
+        assert!(cache.load_schedule(&key).is_some());
+        // ... a decode error on another ...
+        let grid = mcd_sim::freq::FrequencyGrid::default();
+        let hist_key = crate::artifact::key::window_histograms_key(
+            "mcf",
+            &InputSet::reference(10_000),
+            10_000,
+            &MachineConfig::default(),
+            &OfflineConfig::default(),
+        );
+        fs::write(cache.path_of(&hist_key).unwrap(), b"garbage").unwrap();
+        assert!(cache.load_window_histograms(&hist_key, &grid).is_none());
+        // ... and a lock wait: a second thread blocks on a held lock.
+        let guard = cache.lock_publication(&key).expect("uncontended lock");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| drop(cache.lock_publication(&key)));
+            while cache.stats().lock_waits == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(guard);
+            waiter.join().unwrap();
+        });
+
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.writes, s.errors, s.lock_waits),
+            (1, 2, 1, 1, 1)
+        );
+        let kinds = cache.kind_stats_all();
+        assert_eq!(kinds.len(), 2);
+        assert_eq!(s, CacheStats::sum(kinds.iter().map(|(_, k)| k)));
+        cache.flush_stats_log();
+        assert_eq!(ArtifactCache::aggregated_stats(&dir), s);
         let _ = fs::remove_dir_all(&dir);
     }
 }

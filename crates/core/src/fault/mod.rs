@@ -23,8 +23,9 @@
 //!   counter-keyed splitmix64 sequence. The per-site sequences depend only on
 //!   `(seed, site, draw index)` — not on thread interleaving — so a failure
 //!   found under seed `S` replays under seed `S`. A disabled plan answers
-//!   with a single relaxed load of one boolean, which the `perf_report`
-//!   `fault_off_overhead` stage gates as free.
+//!   with a single relaxed load of one boolean. Every evaluator installs a
+//!   plan (a disabled one by default), so every performance gate prices
+//!   that load along with the rest of the hot path.
 //! * [`RetryPolicy`] / [`RetryStats`] — the bounded, deterministic
 //!   backoff schedule the artifact store retries transient I/O under.
 //!

@@ -1,85 +1,67 @@
-//! `perf_report` — the dependency-free macro-benchmark harness behind the
-//! repository's tracked performance trajectory (`BENCH_*.json`).
+//! `perf_report` — the CI performance gate: five stages of the evaluation
+//! service, timed on the process CPU clock and checked against a committed
+//! report (`BENCH_*.json`).
 //!
-//! The harness times ten stages of the simulator's hot data path and the
-//! evaluation service, each in a fresh child process (re-executing this
-//! binary with `--child --stage X`) so per-stage peak RSS is meaningful and
-//! every measurement is cold:
+//! Each stage runs in a fresh child process (re-executing this binary with
+//! `--child --stage X`), so every measurement is cold and per-stage peak RSS
+//! is meaningful:
 //!
-//! * `trace_gen`     — packed trace generation for the quick suite,
-//! * `baseline_sim`  — full-speed baseline simulation of those traces,
-//! * `capture`       — the streaming windowed capture + shaker analysis
-//!   (off-line pipeline stages 1–2),
-//! * `fig4_quick`    — a complete cold `fig4 --quick` evaluation (baseline +
+//! * `fig4_quick`   — a complete cold `fig4 --quick` evaluation (baseline +
 //!   off-line + on-line + profile on the six-benchmark subset, cache
 //!   disabled),
-//! * `sweep_point`   — one cold batched evaluation of a single slowdown
-//!   point (off-line + profile, cache disabled),
-//! * `sweep`         — the same evaluation over ten slowdown points as *one*
+//! * `sweep_point`  — one cold batched evaluation of a single slowdown point
+//!   (off-line + profile, cache disabled),
+//! * `sweep`        — the same evaluation over ten slowdown points as *one*
 //!   batched job group: one capture/training pass, ten re-thresholded
 //!   configuration lanes per trace pass,
-//! * `load_serial`   — the mixed-tier load-test stream (three benchmarks ×
+//! * `load_serial`  — the mixed-tier load-test stream (three benchmarks ×
 //!   thirty-two slowdown points, off-line + profile) submitted as 96
 //!   independent jobs, with queue/completion latency percentiles and a
 //!   bit-exact metrics digest,
-//! * `load_batched`  — the identical stream as three batched job groups
-//!   (one per benchmark) — the high-throughput submission path,
-//! * `fault_off_overhead` — the `load_batched` workload with a *disabled*
-//!   fault plan explicitly installed in the evaluator: the fault-injection
-//!   hooks are runtime-gated, so this must price out within noise of
-//!   `load_batched` itself (the hooks' disabled path is free),
-//! * `shared_cache`  — two concurrent cold evaluator processes on one
-//!   shared cache directory, reporting any duplicate artifact writes (the
-//!   single-writer gate).
+//! * `load_batched` — the identical stream as three batched job groups (one
+//!   per benchmark) — the high-throughput submission path.
 //!
-//! The parent runs each stage `--iters` times (default 3), reports median
-//! wall-clock and peak RSS, and writes the JSON report (default
-//! `BENCH_8.json`, with a `host` fingerprint — CPU model, core count,
-//! kernel — in the header; see the README's "Performance" section for the
-//! schema). `--check <file>` compares the measured `fig4_quick`, `sweep`
-//! and `load_batched` medians against a previously committed report and
-//! exits non-zero on a regression beyond `--tolerance` (default 0.25, i.e.
-//! 25%); it also asserts the sweep's sublinear scaling (ten batched points
-//! under 4× the one-point cost), the load test's batched-over-serial
-//! speedup (at least 4×), the serial/batched/fault-off digest equality
-//! (bit-identical per-job metrics), the disabled fault hooks' overhead
-//! ceiling, and zero duplicate writes in the shared-cache stage — the CI
-//! bench smoke gates.
+//! A child reports the CPU time (user + system, every thread) its stage
+//! used, read from Linux `/proc/self/stat`. The parent runs each stage
+//! `--iters` times (default 3), reports median CPU time and peak RSS, and
+//! writes the JSON report (default `BENCH_9.json`, with a `host` fingerprint
+//! — CPU model, core count, kernel — in the header). `--check <file>` exits
+//! non-zero when the measured `fig4_quick`, `sweep` or `load_batched` median
+//! exceeds the committed one by more than `--tolerance` (default 0.25, i.e.
+//! 25%) or the committed report lacks it, when the ten-point sweep costs 4×
+//! the one-point run or more, when batched load submission is less than 4×
+//! cheaper than serial, or when any serial or batched load run reports a
+//! different metrics digest.
+//!
+//! The layers inside these stages are timed by the `perfbench/` benchmark;
+//! the shared cache's single-writer invariant is checked by `loadtest`.
 
-use mcd_bench::loadtest;
-use mcd_dvfs::artifact::ArtifactCache;
+use mcd_bench::loadtest::{self, RunReport};
+use mcd_dvfs::error::McdError;
 use mcd_dvfs::evaluation::EvaluationConfig;
-use mcd_dvfs::offline::OfflineConfig;
-use mcd_dvfs::pipeline::AnalysisPipeline;
 use mcd_dvfs::scheme::names;
 use mcd_dvfs::service::{EvalJob, Evaluator};
-use mcd_dvfs::FaultPlan;
-use mcd_sim::config::MachineConfig;
-use mcd_sim::simulator::{NullHooks, Simulator};
-use mcd_sim::trace::PackedTrace;
-use mcd_workloads::generator::generate_packed;
-use mcd_workloads::suite::Benchmark;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::io::Write;
 use std::process::{Command, ExitCode, Stdio};
-use std::time::Instant;
 
 /// Report schema version (bump on layout changes).
-const SCHEMA: u32 = 4;
+const SCHEMA: u32 = 5;
 
-const STAGES: [&str; 10] = [
-    "trace_gen",
-    "baseline_sim",
-    "capture",
+const STAGES: [&str; 5] = [
     "fig4_quick",
     "sweep_point",
     "sweep",
     "load_serial",
     "load_batched",
-    "fault_off_overhead",
-    "shared_cache",
 ];
+
+/// The stages whose medians `--check` holds to the committed report's.
+const REGRESSION_GATED: [&str; 3] = ["fig4_quick", "sweep", "load_batched"];
+
+/// The per-stage field holding the median CPU time, in milliseconds.
+const MEDIAN_FIELD: &str = "median_cpu_ms";
 
 /// The sweep stages' slowdown points: `SWEEP_POINTS` evenly spaced targets
 /// (`sweep_point` times only the first).
@@ -92,25 +74,13 @@ const SWEEP_SCALING_LIMIT: f64 = 4.0;
 /// Slowdown points per benchmark in the `load_*` stages' stream.
 const LOAD_POINTS: usize = 32;
 
-/// Points per benchmark in the `shared_cache` stage's worker stream (small:
-/// the stage measures locking, not lane throughput).
-const SHARED_CACHE_POINTS: usize = 3;
-
-/// Concurrent worker processes in the `shared_cache` stage.
-const SHARED_CACHE_PROCS: usize = 2;
-
 /// The load-test gate: batched submission must be at least this many times
-/// faster than serial submission of the identical stream.
+/// cheaper than serial submission of the identical stream.
 const LOAD_SPEEDUP_FLOOR: f64 = 4.0;
 
-/// The fault-hook gate: the `load_batched` workload with a disabled fault
-/// plan installed must cost at most this multiple of plain `load_batched`.
-/// The hooks' disabled path is one relaxed boolean load, so anything beyond
-/// run-to-run noise is a regression.
-const FAULT_OFF_OVERHEAD_LIMIT: f64 = 1.15;
-
 /// Extra per-iteration fields the `load_*` stages report (medians land in
-/// the stage's JSON object alongside the wall/RSS numbers).
+/// the stage's JSON object alongside the CPU/RSS numbers; the latencies and
+/// throughput are wall-clock).
 const LOAD_EXTRA_FIELDS: [&str; 7] = [
     "throughput_jps",
     "queue_p50_ms",
@@ -140,29 +110,31 @@ fn main() -> ExitCode {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or(3);
-    let out = value("--out").unwrap_or_else(|| "BENCH_8.json".to_string());
+    let out = value("--out").unwrap_or_else(|| "BENCH_9.json".to_string());
     let check = value("--check");
     let tolerance: f64 = value("--tolerance")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.25);
 
-    // Read the committed baselines *before* measuring (the fresh report may
-    // overwrite the same file). A committed report predating a stage simply
-    // skips that comparison.
-    let (committed_fig4, committed_sweep, committed_load) = match &check {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(json) => (
-                json_stage_field(&json, "fig4_quick", "median_wall_ms"),
-                json_stage_field(&json, "sweep", "median_wall_ms"),
-                json_stage_field(&json, "load_batched", "median_wall_ms"),
-            ),
+    // Read the committed medians *before* measuring (the fresh report may
+    // overwrite the same file).
+    let mut committed = Vec::new();
+    if let Some(path) = &check {
+        let json = match std::fs::read_to_string(path) {
+            Ok(json) => json,
             Err(err) => {
                 eprintln!("perf_report: cannot read {path}: {err}");
                 return ExitCode::FAILURE;
             }
-        },
-        None => (None, None, None),
-    };
+        };
+        for stage in REGRESSION_GATED {
+            let Some(median) = json_stage_field(&json, stage, MEDIAN_FIELD) else {
+                eprintln!("perf_report: {path} has no {stage} {MEDIAN_FIELD} to check against");
+                return ExitCode::FAILURE;
+            };
+            committed.push((stage, median));
+        }
+    }
 
     let exe = match std::env::current_exe() {
         Ok(exe) => exe,
@@ -174,17 +146,16 @@ fn main() -> ExitCode {
 
     let mut stages_json = Vec::new();
     let mut medians: BTreeMap<&str, f64> = BTreeMap::new();
-    let mut digests: BTreeMap<&str, Vec<String>> = BTreeMap::new();
-    let mut duplicate_writes = 0.0f64;
+    let mut digests: Vec<String> = Vec::new();
     for stage in STAGES {
-        let mut walls = Vec::new();
+        let mut cpus = Vec::new();
         let mut rss = Vec::new();
         let mut lines = Vec::new();
         for iter in 0..iters {
             eprintln!("perf_report: {stage} iteration {}/{iters} ...", iter + 1);
             match run_stage_in_child(&exe, stage) {
-                Ok((wall_ms, rss_kb, line)) => {
-                    walls.push(wall_ms);
+                Ok((cpu_ms, rss_kb, line)) => {
+                    cpus.push(cpu_ms);
                     rss.push(rss_kb);
                     lines.push(line);
                 }
@@ -194,18 +165,16 @@ fn main() -> ExitCode {
                 }
             }
         }
-        let wall_median = median(&mut walls.clone());
+        let cpu_median = median(&mut cpus.clone());
         let rss_median = median(&mut rss.clone());
-        medians.insert(stage, wall_median);
+        medians.insert(stage, cpu_median);
         eprintln!(
-            "perf_report: {stage:<13} median {:>9.1} ms  peak-rss {:>8.0} KB",
-            wall_median, rss_median
+            "perf_report: {stage:<13} median {:>9.1} CPU ms  peak-rss {:>8.0} KB",
+            cpu_median, rss_median
         );
-        // Stage-specific extras: the load stages carry a metrics digest and
-        // latency percentiles, the shared-cache stage its duplicate-write
-        // count.
+        // The load stages carry a metrics digest and latency percentiles.
         let mut extra = String::new();
-        if stage == "load_serial" || stage == "load_batched" || stage == "fault_off_overhead" {
+        if stage.starts_with("load_") {
             let stage_digests: Vec<String> = lines
                 .iter()
                 .filter_map(|l| json_string(l, "digest"))
@@ -213,7 +182,7 @@ fn main() -> ExitCode {
             if let Some(first) = stage_digests.first() {
                 extra.push_str(&format!(",\n      \"digest\": \"{first}\""));
             }
-            digests.insert(stage, stage_digests);
+            digests.extend(stage_digests);
             for field in LOAD_EXTRA_FIELDS {
                 let mut values: Vec<f64> =
                     lines.iter().filter_map(|l| json_number(l, field)).collect();
@@ -222,31 +191,12 @@ fn main() -> ExitCode {
                 }
             }
         }
-        if stage == "shared_cache" {
-            let worst = lines
-                .iter()
-                .filter_map(|l| json_number(l, "duplicate_writes"))
-                .fold(0.0f64, f64::max);
-            duplicate_writes = worst;
-            extra.push_str(&format!(",\n      \"duplicate_writes\": {worst:.0}"));
-            let mut waits: Vec<f64> = lines
-                .iter()
-                .filter_map(|l| json_number(l, "lock_waits"))
-                .collect();
-            if !waits.is_empty() {
-                extra.push_str(&format!(
-                    ",\n      \"lock_waits\": {:.0}",
-                    median(&mut waits)
-                ));
-            }
-        }
         stages_json.push(format!(
-            "    \"{stage}\": {{\n      \"median_wall_ms\": {wall_median:.3},\n      \
-             \"peak_rss_kb\": {rss_median:.0},\n      \"runs_wall_ms\": [{}],\n      \
+            "    \"{stage}\": {{\n      \"{MEDIAN_FIELD}\": {cpu_median:.3},\n      \
+             \"peak_rss_kb\": {rss_median:.0},\n      \"runs_cpu_ms\": [{}],\n      \
              \"runs_peak_rss_kb\": [{}]{extra}\n    }}",
-            walls
-                .iter()
-                .map(|w| format!("{w:.3}"))
+            cpus.iter()
+                .map(|c| format!("{c:.3}"))
                 .collect::<Vec<_>>()
                 .join(", "),
             rss.iter()
@@ -269,197 +219,110 @@ fn main() -> ExitCode {
     }
     eprintln!("perf_report: wrote {out}");
 
-    if let Some(path) = check {
-        let stage_median = |stage: &str| medians.get(stage).copied().unwrap_or(f64::NAN);
-        let gate = |stage: &str, measured: f64, committed: f64| -> bool {
-            let limit = committed * (1.0 + tolerance);
-            if measured > limit {
-                eprintln!(
-                    "perf_report: REGRESSION — {stage} median {measured:.1} ms exceeds \
-                     committed {committed:.1} ms by more than {:.0}% (limit {limit:.1} ms)",
-                    tolerance * 100.0
-                );
-                return false;
-            }
+    if check.is_none() {
+        return ExitCode::SUCCESS;
+    }
+    let stage_median = |stage: &str| medians.get(stage).copied().unwrap_or(f64::NAN);
+    for (stage, committed) in committed {
+        let measured = stage_median(stage);
+        let limit = committed * (1.0 + tolerance);
+        if measured > limit {
             eprintln!(
-                "perf_report: {stage} median {measured:.1} ms within {:.0}% of committed \
-                 {committed:.1} ms",
+                "perf_report: REGRESSION — {stage} median {measured:.1} CPU ms exceeds \
+                 committed {committed:.1} ms by more than {:.0}% (limit {limit:.1} ms)",
                 tolerance * 100.0
             );
-            true
-        };
-        let Some(committed) = committed_fig4 else {
-            eprintln!("perf_report: {path} has no fig4_quick median to check against");
-            return ExitCode::FAILURE;
-        };
-        if !gate("fig4_quick", stage_median("fig4_quick"), committed) {
-            return ExitCode::FAILURE;
-        }
-        match committed_sweep {
-            Some(committed) => {
-                if !gate("sweep", stage_median("sweep"), committed) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            None => eprintln!("perf_report: {path} predates the sweep stage; skipping its gate"),
-        }
-        match committed_load {
-            Some(committed) => {
-                if !gate("load_batched", stage_median("load_batched"), committed) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            None => {
-                eprintln!("perf_report: {path} predates the load stages; skipping their gate")
-            }
-        }
-        // The batched sweep's reason to exist: N points must stay well under
-        // N independent runs. Gate the measured scaling directly.
-        let scaling = stage_median("sweep") / stage_median("sweep_point");
-        if !scaling.is_finite() || scaling > SWEEP_SCALING_LIMIT {
-            eprintln!(
-                "perf_report: REGRESSION — {SWEEP_POINTS}-point sweep costs {scaling:.2}x a \
-                 single point (limit {SWEEP_SCALING_LIMIT:.1}x): batching has stopped paying off"
-            );
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "perf_report: sweep scaling {scaling:.2}x for {SWEEP_POINTS} points \
-             (limit {SWEEP_SCALING_LIMIT:.1}x)"
+            "perf_report: {stage} median {measured:.1} CPU ms within {:.0}% of committed \
+             {committed:.1} ms",
+            tolerance * 100.0
         );
-        // The load test's reason to exist: batched submission of the mixed
-        // stream must beat serial submission by the floor, with bit-identical
-        // per-job metrics.
-        let speedup = stage_median("load_serial") / stage_median("load_batched");
-        if !speedup.is_finite() || speedup < LOAD_SPEEDUP_FLOOR {
-            eprintln!(
-                "perf_report: REGRESSION — batched load stream is only {speedup:.2}x serial \
-                 (floor {LOAD_SPEEDUP_FLOOR:.1}x): the batching fast path has degraded"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "perf_report: load speedup {speedup:.2}x batched over serial \
-             (floor {LOAD_SPEEDUP_FLOOR:.1}x)"
-        );
-        // The fault hooks' reason to be runtime-gated: with the plan
-        // disabled, the batched stream must cost the same as without any
-        // plan installed at all.
-        let overhead = stage_median("fault_off_overhead") / stage_median("load_batched");
-        if !overhead.is_finite() || overhead > FAULT_OFF_OVERHEAD_LIMIT {
-            eprintln!(
-                "perf_report: REGRESSION — disabled fault hooks cost {overhead:.2}x the \
-                 plain batched stream (limit {FAULT_OFF_OVERHEAD_LIMIT:.2}x): the \
-                 disabled path is no longer free"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "perf_report: fault-off overhead {overhead:.2}x of load_batched \
-             (limit {FAULT_OFF_OVERHEAD_LIMIT:.2}x)"
-        );
-        let all_digests: Vec<&String> = digests.values().flatten().collect();
-        match all_digests.first() {
-            Some(first) if all_digests.iter().all(|d| d == first) => {
-                eprintln!(
-                    "perf_report: load digests identical across serial/batched/fault-off \
-                     runs ({first})"
-                );
-            }
-            Some(_) => {
-                eprintln!(
-                    "perf_report: REGRESSION — load stream digests differ across runs: \
-                     batched metrics are not bit-identical to serial metrics"
-                );
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!("perf_report: REGRESSION — load stages reported no metrics digest");
-                return ExitCode::FAILURE;
-            }
-        }
-        if duplicate_writes > 0.0 {
-            eprintln!(
-                "perf_report: REGRESSION — shared-cache stage recorded {duplicate_writes:.0} \
-                 duplicate write(s): concurrent processes recomputed a published key"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("perf_report: shared-cache single-writer holds (0 duplicate writes)");
     }
-    ExitCode::SUCCESS
-}
-
-/// The quick six-benchmark subset every stage works on.
-fn quick_suite() -> Vec<Benchmark> {
-    mcd_bench::selected_suite(true)
-}
-
-fn quick_traces(benches: &[Benchmark]) -> Vec<PackedTrace> {
-    benches
-        .iter()
-        .map(|b| generate_packed(&b.program, &b.inputs.reference))
-        .collect()
+    // The batched sweep's reason to exist: N points must stay well under N
+    // independent runs. Gate the measured scaling directly.
+    let scaling = stage_median("sweep") / stage_median("sweep_point");
+    if !scaling.is_finite() || scaling > SWEEP_SCALING_LIMIT {
+        eprintln!(
+            "perf_report: REGRESSION — {SWEEP_POINTS}-point sweep costs {scaling:.2}x a \
+             single point (limit {SWEEP_SCALING_LIMIT:.1}x): batching has stopped paying off"
+        );
+        return ExitCode::FAILURE;
+    }
+    eprintln!(
+        "perf_report: sweep scaling {scaling:.2}x for {SWEEP_POINTS} points \
+         (limit {SWEEP_SCALING_LIMIT:.1}x)"
+    );
+    // The load test's reason to exist: batched submission of the mixed
+    // stream must beat serial submission by the floor, with bit-identical
+    // per-job metrics.
+    let speedup = stage_median("load_serial") / stage_median("load_batched");
+    if !speedup.is_finite() || speedup < LOAD_SPEEDUP_FLOOR {
+        eprintln!(
+            "perf_report: REGRESSION — batched load stream is only {speedup:.2}x serial \
+             (floor {LOAD_SPEEDUP_FLOOR:.1}x): the batching fast path has degraded"
+        );
+        return ExitCode::FAILURE;
+    }
+    eprintln!(
+        "perf_report: load speedup {speedup:.2}x batched over serial \
+         (floor {LOAD_SPEEDUP_FLOOR:.1}x)"
+    );
+    match digests.first() {
+        Some(first) if digests.iter().all(|d| d == first) => {
+            eprintln!("perf_report: load digests identical across serial/batched runs ({first})");
+            ExitCode::SUCCESS
+        }
+        Some(_) => {
+            eprintln!(
+                "perf_report: REGRESSION — load stream digests differ across runs: \
+                 batched metrics are not bit-identical to serial metrics"
+            );
+            ExitCode::FAILURE
+        }
+        None => {
+            eprintln!("perf_report: REGRESSION — load stages reported no metrics digest");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Runs one stage inside this (child) process and prints the measurement as a
 /// single JSON line on stdout.
 fn run_child(stage: &str) -> ExitCode {
-    let start = Instant::now();
     match stage {
-        "trace_gen" => {
-            black_box(quick_traces(&quick_suite()));
-        }
-        "baseline_sim" => {
-            let benches = quick_suite();
-            let traces = quick_traces(&benches);
-            let machine = MachineConfig::default();
-            let start = Instant::now(); // exclude generation from the timing
-            for trace in &traces {
-                let sim = Simulator::new(machine.clone());
-                black_box(sim.run(trace.iter(), &mut NullHooks, false).stats);
-            }
-            return emit_measurement(start, "");
-        }
-        "capture" => {
-            let benches = quick_suite();
-            let traces = quick_traces(&benches);
-            let machine = MachineConfig::default();
-            let pipeline = AnalysisPipeline::new(OfflineConfig::default());
-            let start = Instant::now(); // exclude generation from the timing
-            for trace in &traces {
-                black_box(pipeline.analyze(trace, &machine));
-            }
-            return emit_measurement(start, "");
-        }
-        "fig4_quick" => {
-            // A cold fig4 --quick: disabled cache, all three schemes.
-            let config = EvaluationConfig {
-                parallelism: 1,
-                ..EvaluationConfig::default()
-            }
-            .with_slowdown(mcd_bench::HEADLINE_SLOWDOWN);
-            let evaluator = Evaluator::builder().config(config).workers(1).build();
-            let jobs = quick_suite().into_iter().map(EvalJob::new).collect();
-            match evaluator.submit_all(jobs).collect() {
-                Ok(evals) => {
-                    black_box(evals);
-                }
-                Err(err) => {
-                    eprintln!("perf_report: fig4_quick evaluation failed: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        "sweep" => return run_sweep(SWEEP_POINTS),
-        "sweep_point" => return run_sweep(1),
-        "load_serial" => return run_load(LoadMode::Serial),
-        "load_batched" => return run_load(LoadMode::Batched),
-        "fault_off_overhead" => return run_load(LoadMode::BatchedFaultOff),
-        "shared_cache" => return run_shared_cache(),
-        "shared_cache_worker" => return run_shared_cache_worker(),
+        "fig4_quick" => run_fig4_quick(),
+        "sweep_point" => run_sweep(1),
+        "sweep" => run_sweep(SWEEP_POINTS),
+        "load_serial" => run_load(loadtest::run_serial),
+        "load_batched" => run_load(loadtest::run_grouped),
         other => {
             eprintln!("perf_report: unknown stage `{other}`");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// A cold fig4 --quick: disabled cache, all three schemes.
+fn run_fig4_quick() -> ExitCode {
+    let start = cpu_ms();
+    let config = EvaluationConfig {
+        parallelism: 1,
+        ..EvaluationConfig::default()
+    }
+    .with_slowdown(mcd_bench::HEADLINE_SLOWDOWN);
+    let evaluator = Evaluator::builder().config(config).workers(1).build();
+    let jobs = mcd_bench::selected_suite(true)
+        .into_iter()
+        .map(EvalJob::new)
+        .collect();
+    match evaluator.submit_all(jobs).collect() {
+        Ok(evals) => {
+            black_box(evals);
+        }
+        Err(err) => {
+            eprintln!("perf_report: fig4_quick evaluation failed: {err}");
             return ExitCode::FAILURE;
         }
     }
@@ -491,7 +354,7 @@ fn run_sweep(points: usize) -> ExitCode {
         })
         .collect();
     let batch = EvalJob::batch(jobs).expect("one benchmark, at least one point");
-    let start = Instant::now();
+    let start = cpu_ms();
     match evaluator.submit_batch(batch).collect() {
         Ok(evals) => {
             black_box(evals);
@@ -504,19 +367,12 @@ fn run_sweep(points: usize) -> ExitCode {
     emit_measurement(start, "")
 }
 
-/// Which submission path a `load_*` stage exercises.
-enum LoadMode {
-    Serial,
-    Batched,
-    /// Batched with a disabled [`FaultPlan`] explicitly installed — the
-    /// `fault_off_overhead` stage's subject.
-    BatchedFaultOff,
-}
-
-/// The load-test stream (cold cache) under serial or batched submission,
-/// reporting the metrics digest and latency percentiles alongside the
-/// timing.
-fn run_load(mode: LoadMode) -> ExitCode {
+/// The load-test stream (cold cache) through one of [`loadtest`]'s
+/// submission paths, reporting the metrics digest and latency percentiles
+/// alongside the timing.
+fn run_load(
+    submit: fn(&EvaluationConfig, Vec<EvalJob>) -> Result<RunReport, McdError>,
+) -> ExitCode {
     let jobs = match loadtest::stream_jobs(LOAD_POINTS) {
         Ok(jobs) => jobs,
         Err(err) => {
@@ -525,17 +381,8 @@ fn run_load(mode: LoadMode) -> ExitCode {
         }
     };
     let config = loadtest::cold_config();
-    let start = Instant::now();
-    let report = match mode {
-        LoadMode::Serial => loadtest::run_serial(&config, jobs),
-        LoadMode::Batched => loadtest::run_grouped(&config, jobs),
-        LoadMode::BatchedFaultOff => loadtest::run_grouped_with_faults(
-            &config,
-            jobs,
-            std::sync::Arc::new(FaultPlan::disabled()),
-        ),
-    };
-    let report = match report {
+    let start = cpu_ms();
+    let report = match submit(&config, jobs) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("perf_report: load stage failed: {err}");
@@ -558,103 +405,31 @@ fn run_load(mode: LoadMode) -> ExitCode {
     emit_measurement(start, &extra)
 }
 
-/// Two concurrent cold re-executions of this binary (`shared_cache_worker`)
-/// on one fresh cache directory; reports the concurrent phase's wall time
-/// plus the duplicate-write count the single-writer gate asserts on.
-fn run_shared_cache() -> ExitCode {
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(err) => {
-            eprintln!("perf_report: cannot locate own executable: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let dir = std::env::temp_dir().join(format!("mcd-perf-shared-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let start = Instant::now();
-    let mut children = Vec::new();
-    for _ in 0..SHARED_CACHE_PROCS {
-        match Command::new(&exe)
-            .args(["--child", "--stage", "shared_cache_worker"])
-            .env("MCD_CACHE_DIR", &dir)
-            .env_remove("MCD_NO_CACHE")
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit())
-            .spawn()
-        {
-            Ok(child) => children.push(child),
-            Err(err) => {
-                eprintln!("perf_report: cannot spawn shared-cache worker: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    for mut child in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                eprintln!("perf_report: shared-cache worker exited with {status}");
-                return ExitCode::FAILURE;
-            }
-            Err(err) => {
-                eprintln!("perf_report: cannot wait for shared-cache worker: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // Per kind, recorded writes beyond the distinct files on disk are
-    // duplicate computations of a shared key.
-    let cache = ArtifactCache::new(&dir);
-    let mut files: BTreeMap<String, u64> = BTreeMap::new();
-    for entry in cache.entries() {
-        *files.entry(entry.kind).or_default() += 1;
-    }
-    let recorded: BTreeMap<String, _> = ArtifactCache::aggregated_kind_stats(&dir)
-        .into_iter()
-        .collect();
-    let duplicates: u64 = files
-        .iter()
-        .map(|(kind, count)| {
-            recorded
-                .get(kind)
-                .map(|s| s.writes)
-                .unwrap_or(0)
-                .saturating_sub(*count)
-        })
-        .sum();
-    let lock_waits = ArtifactCache::aggregated_stats(&dir).lock_waits;
-    let _ = std::fs::remove_dir_all(&dir);
-    let extra = format!(", \"duplicate_writes\": {duplicates}, \"lock_waits\": {lock_waits}");
-    emit_measurement(start, &extra)
-}
-
-/// One cold batched pass over a small load stream against the cache
-/// directory `shared_cache` set up in the environment.
-fn run_shared_cache_worker() -> ExitCode {
-    let jobs = match loadtest::stream_jobs(SHARED_CACHE_POINTS) {
-        Ok(jobs) => jobs,
-        Err(err) => {
-            eprintln!("perf_report: shared-cache stream unavailable: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cache = std::sync::Arc::new(ArtifactCache::from_env());
-    let config = loadtest::cold_config().with_cache(cache.clone());
-    let start = Instant::now();
-    if let Err(err) = loadtest::run_grouped(&config, jobs) {
-        eprintln!("perf_report: shared-cache worker failed: {err}");
+fn emit_measurement(start: Option<f64>, extra: &str) -> ExitCode {
+    let (Some(start), Some(end)) = (start, cpu_ms()) else {
+        eprintln!("perf_report: the process CPU clock (/proc/self/stat) is unreadable");
         return ExitCode::FAILURE;
-    }
-    cache.flush_stats_log();
-    emit_measurement(start, "")
-}
-
-fn emit_measurement(start: Instant, extra: &str) -> ExitCode {
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    };
     let rss_kb = peak_rss_kb().unwrap_or(0.0);
-    println!("{{\"wall_ms\": {wall_ms:.3}, \"peak_rss_kb\": {rss_kb:.0}{extra}}}");
+    println!(
+        "{{\"cpu_ms\": {:.3}, \"peak_rss_kb\": {rss_kb:.0}{extra}}}",
+        end - start
+    );
     let _ = std::io::stdout().flush();
     ExitCode::SUCCESS
+}
+
+/// CPU time this process has used so far (user + system, every thread), in
+/// milliseconds: Linux `/proc/self/stat` fields 14 and 15, counted in 10 ms
+/// clock ticks. `None` where procfs is unavailable.
+fn cpu_ms() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The fields after the parenthesised command name (which may itself hold
+    // spaces or parentheses) start at field 3.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some((utime + stime) as f64 * 10.0)
 }
 
 /// Peak resident set size of this process in KB (Linux `VmHWM`; `None` where
@@ -705,9 +480,9 @@ fn run_stage_in_child(exe: &std::path::Path, stage: &str) -> Result<(f64, f64, S
         .rev()
         .find(|l| l.trim_start().starts_with('{'))
         .ok_or_else(|| "child produced no measurement".to_string())?;
-    let wall = json_number(line, "wall_ms").ok_or("missing wall_ms")?;
+    let cpu = json_number(line, "cpu_ms").ok_or("missing cpu_ms")?;
     let rss = json_number(line, "peak_rss_kb").ok_or("missing peak_rss_kb")?;
-    Ok((wall, rss, line.to_string()))
+    Ok((cpu, rss, line.to_string()))
 }
 
 fn median(values: &mut [f64]) -> f64 {
@@ -738,8 +513,25 @@ fn json_string(json: &str, field: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// Extraction of `stages.<stage>.<field>` from a committed report.
+/// Extraction of `stages.<stage>.<field>` from a committed report (stage
+/// objects are flat, so the stage's object ends at its first `}`).
 fn json_stage_field(json: &str, stage: &str, field: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{stage}\""))?;
-    json_number(&json[at..], field)
+    let object = &json[json.find(&format!("\"{stage}\""))?..];
+    json_number(&object[..object.find('}')?], field)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_report_has_a_median_for_every_stage() {
+        let committed = include_str!("../../../../BENCH_9.json");
+        for stage in STAGES {
+            assert!(
+                json_stage_field(committed, stage, MEDIAN_FIELD).is_some(),
+                "BENCH_9.json has no {MEDIAN_FIELD} for stage `{stage}`"
+            );
+        }
+    }
 }

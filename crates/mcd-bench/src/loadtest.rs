@@ -181,23 +181,9 @@ pub fn run_serial(config: &EvaluationConfig, jobs: Vec<EvalJob>) -> Result<RunRe
 /// concatenated evaluations land in the same canonical order as
 /// [`run_serial`]'s.
 pub fn run_grouped(config: &EvaluationConfig, jobs: Vec<EvalJob>) -> Result<RunReport, McdError> {
-    run_grouped_with_faults(config, jobs, Arc::new(FaultPlan::disabled()))
-}
-
-/// [`run_grouped`] with an explicit (typically disabled) fault plan
-/// installed in the evaluator — the `perf_report` `fault_off_overhead`
-/// stage's subject: the injection hooks are runtime-gated, so a disabled
-/// plan threaded through the full hot path must cost nothing measurable
-/// against [`run_grouped`] itself.
-pub fn run_grouped_with_faults(
-    config: &EvaluationConfig,
-    jobs: Vec<EvalJob>,
-    faults: Arc<FaultPlan>,
-) -> Result<RunReport, McdError> {
     let evaluator = Evaluator::builder()
         .config(config.clone())
         .workers(1)
-        .faults(faults)
         .build();
     let count = jobs.len();
     let mut groups: Vec<(String, Vec<EvalJob>)> = Vec::new();

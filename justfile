@@ -25,26 +25,23 @@ lint:
 fmt:
     cargo fmt
 
-# Run the tracked macro-benchmark harness: times trace generation, baseline
-# simulation, streaming capture+analysis, a cold fig4 --quick evaluation, the
-# batched slowdown sweep (one point vs. ten points in a single batch), the
-# load-test stream under serial and batched submission, the same stream with
-# disabled fault-injection hooks installed (their off-path must be free),
-# and the shared-cache single-writer stage; each stage runs in a fresh child
-# process (median of 3) and the report goes to BENCH_8.json. See README
-# "Performance" for the schema and trajectory.
+# Run the CI performance gate's five stages, each in a fresh child process
+# timed on the process CPU clock (median of 3): a cold fig4 --quick
+# evaluation, the batched slowdown sweep at one point and at ten points in a
+# single batch, and the load-test stream under serial and batched
+# submission. The report goes to BENCH_9.json. Per-layer timing lives in
+# perfbench/; see README "Performance".
 bench:
     cargo run --release --bin perf_report
 
-# Compare a fresh bench run against the committed BENCH_8.json: fails on a
-# >25% fig4-quick / sweep / load-batched regression, when the ten-point
-# batched sweep costs 4x or more the one-point cost, when batched load-test
-# submission is less than 4x serial throughput, when the serial, batched and
-# fault-off metrics digests diverge, when the disabled fault hooks cost more
-# than 15% over plain batched load, or when the shared-cache stage records a
-# duplicate artifact write (the CI gates).
+# Compare a fresh bench run against the committed BENCH_9.json, on the CPU
+# clock: fails on a >25% fig4_quick / sweep / load_batched regression (or
+# when the committed report lacks one of them), when the ten-point batched
+# sweep costs 4x or more the one-point cost, when batched load-test
+# submission is less than 4x cheaper than serial, or when the serial and
+# batched metrics digests diverge (the CI gates).
 bench-check:
-    cargo run --release --bin perf_report -- --check BENCH_8.json --out /tmp/bench-check.json
+    cargo run --release --bin perf_report -- --check BENCH_9.json --out /tmp/bench-check.json
 
 # Replay the full synthetic load-test stream: serial-vs-batched throughput
 # with latency percentiles and a bit-exact metrics digest, admission control
