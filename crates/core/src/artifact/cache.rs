@@ -32,14 +32,14 @@
 //! renamed into place atomically — a reader can never observe a torn
 //! artifact, and the trailing codec checksum backstops even a corrupted one.
 //! Reads and writes run under a bounded, deterministic
-//! [`RetryPolicy`](crate::fault::RetryPolicy) (counted in
+//! [`RetryPolicy`] (counted in
 //! [`ArtifactCache::retry_stats`]); when the budget is exhausted the read
 //! side falls back to recomputation and the write side counts an error.
 //! [`ArtifactCache::sweep_orphans`] (run automatically by
 //! [`ArtifactCache::from_env`]) quarantines stale `.tmp-*` debris and
 //! removes stale `.lock-*` files a crashed process left behind. All of it is
 //! exercisable deterministically through an injected
-//! [`FaultPlan`](crate::fault::FaultPlan) ([`ArtifactCache::with_faults`]).
+//! [`FaultPlan`] ([`ArtifactCache::with_faults`]).
 
 use crate::artifact::codec::{self, TrainingArtifact, TrainingHistogramsArtifact};
 use crate::artifact::key::ArtifactKey;
@@ -533,8 +533,8 @@ impl ArtifactCache {
         self.read_decoded(key, decode).ok().flatten()
     }
 
-    /// Quiet re-check of a packed trace (see
-    /// [`recheck_with`](Self::recheck_with)).
+    /// Quiet re-check of a packed trace: the publication protocol's
+    /// under-lock lookup, which leaves the counters untouched.
     pub fn recheck_trace(&self, key: &ArtifactKey) -> Option<mcd_sim::trace::PackedTrace> {
         self.recheck_with(key, codec::decode_trace)
     }
@@ -672,8 +672,8 @@ impl ArtifactCache {
         (quarantined, locks_removed)
     }
 
-    /// Looks up an off-line schedule (see [`ArtifactCache::load_with`] for
-    /// the counting rules).
+    /// Looks up an off-line schedule (a hit, or a miss; an undecodable
+    /// artifact also counts an error).
     pub fn load_schedule(&self, key: &ArtifactKey) -> Option<OfflineSchedule> {
         self.load_with(key, codec::decode_schedule)
     }
@@ -685,8 +685,8 @@ impl ArtifactCache {
         }
     }
 
-    /// Looks up a cached packed trace (see [`ArtifactCache::load_with`] for
-    /// the counting rules).
+    /// Looks up a cached packed trace (a hit, or a miss; an undecodable
+    /// artifact also counts an error).
     pub fn load_trace(&self, key: &ArtifactKey) -> Option<mcd_sim::trace::PackedTrace> {
         self.load_with(key, codec::decode_trace)
     }
@@ -698,8 +698,8 @@ impl ArtifactCache {
         }
     }
 
-    /// Looks up a training artifact (see [`ArtifactCache::load_with`] for
-    /// the counting rules).
+    /// Looks up a training artifact (a hit, or a miss; an undecodable
+    /// artifact also counts an error).
     pub fn load_training(&self, key: &ArtifactKey) -> Option<TrainingArtifact> {
         self.load_with(key, codec::decode_training)
     }

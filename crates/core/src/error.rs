@@ -17,10 +17,6 @@ pub enum McdError {
     UnknownBenchmark(String),
     /// A scheme name did not match any registry entry.
     UnknownScheme(String),
-    /// A scheme name was registered more than once in one registry (names are
-    /// the identity the evaluator, tables, and caches key on, so shadowing is
-    /// rejected instead of silently keeping the first registration).
-    DuplicateScheme(String),
     /// A scheme was looked up in an evaluation it was not part of (for
     /// example `global` when `EvaluationConfig::include_global` was false).
     SchemeNotEvaluated(String),
@@ -78,11 +74,6 @@ impl fmt::Display for McdError {
                 )
             }
             McdError::UnknownScheme(name) => write!(f, "unknown scheme `{name}`"),
-            McdError::DuplicateScheme(name) => write!(
-                f,
-                "scheme `{name}` is registered more than once (scheme names must be \
-                 unique within a registry)"
-            ),
             McdError::SchemeNotEvaluated(name) => write!(
                 f,
                 "scheme `{name}` was not part of this evaluation (for `global`, set \
@@ -158,13 +149,6 @@ mod tests {
         // Second-tier benchmarks resolve through the same user-facing path.
         let bench = find_benchmark("web serve").expect("server tier visible");
         assert_eq!(bench.suite, mcd_workloads::suite::SuiteKind::Server);
-    }
-
-    #[test]
-    fn duplicate_scheme_display_names_the_offender() {
-        let err = McdError::DuplicateScheme("pid".into());
-        assert!(err.to_string().contains("pid"));
-        assert!(err.to_string().contains("more than once"));
     }
 
     #[test]

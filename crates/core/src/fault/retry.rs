@@ -6,7 +6,8 @@ use std::time::Duration;
 /// failed read or write before falling back to recomputation.
 ///
 /// The schedule is fully deterministic — exponential growth from
-/// [`base`](RetryPolicy::base) by [`multiplier`](RetryPolicy::multiplier),
+/// the base delay ([`with_base`](RetryPolicy::with_base)) by the multiplier
+/// ([`with_multiplier`](RetryPolicy::with_multiplier)),
 /// no jitter — so a chaos failure replays identically from its seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {

@@ -25,21 +25,21 @@
 //!   table-driven policy learned offline from the profile pipeline's capture
 //!   artifacts (compared against the paper's schemes by the `tournament`
 //!   harness in `mcd-bench`);
-//! * [`scheme`] — the [`DvfsScheme`](scheme::DvfsScheme) trait unifying every
-//!   control scheme behind one `prepare` method, plus the standard registry;
+//! * [`scheme`] — the [`DvfsScheme`] trait unifying every control scheme
+//!   behind one `prepare` method, plus the standard registry;
 //! * [`evaluation`] — the configuration and result types of a comparison,
 //!   producing the paper's metrics (performance degradation, energy savings,
 //!   energy·delay improvement);
-//! * [`service`] — the job-oriented [`Evaluator`](service::Evaluator), the
-//!   crate's one front door: build it once, submit `(benchmark, overrides)`
-//!   jobs, share memoized baselines across configurations, and stream
-//!   per-scheme results as events;
+//! * [`service`] — the job-oriented [`Evaluator`], the crate's one front
+//!   door: build it once, submit `(benchmark, overrides)` jobs, share
+//!   memoized baselines across configurations, and stream per-scheme results
+//!   as events;
 //! * [`fault`] — the deterministic, seeded fault-injection layer that
 //!   chaos-tests the artifact store and the service (worker panics, torn
 //!   writes, I/O errors, lock stalls), plus the retry policy the store
 //!   recovers under;
-//! * [`error`] — the shared [`McdError`](error::McdError) type reported on
-//!   every user-facing path.
+//! * [`error`] — the shared [`McdError`] type reported on every user-facing
+//!   path.
 //!
 //! ## Quick start
 //!
@@ -90,9 +90,9 @@ pub use pid::{PidConfig, PidController};
 pub use pipeline::AnalysisPipeline;
 pub use profile::{train, train_and_run, ProfileHooks, ProfilePlan, TrainingConfig};
 pub use scheme::{
-    configured_registry, full_registry, standard_registry, subset_registry, DvfsScheme,
-    GlobalDvsScheme, Lane, LearnedScheme, OfflineScheme, OnlineScheme, PidScheme, Pools, Prepared,
-    ProfileScheme, SchemeContext, SchemeOutcome, SchemeRegistry, SysScaleScheme,
+    configured_registry, full_registry, subset_registry, DvfsScheme, GlobalDvsScheme, Lane,
+    LearnedScheme, OfflineScheme, OnlineScheme, PidScheme, Pools, Prepared, ProfileScheme,
+    SchemeContext, SchemeOutcome, SysScaleScheme,
 };
 pub use service::{
     EvalEvent, EvalJob, Evaluator, EvaluatorBuilder, JobId, MemoStats, ResultStream,

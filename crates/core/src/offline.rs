@@ -12,7 +12,7 @@
 //! The analysis itself lives in the staged [`crate::pipeline`] module
 //! (capture → slice → per-window analysis → schedule assembly);
 //! [`run_offline`] is the serial convenience wrapper. Use
-//! [`AnalysisPipeline`](crate::pipeline::AnalysisPipeline) directly for
+//! [`AnalysisPipeline`] directly for
 //! window-parallel analysis, and [`crate::artifact`] to cache the resulting
 //! schedules across processes.
 

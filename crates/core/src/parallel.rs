@@ -9,9 +9,7 @@
 //!
 //! The *open-ended* work list of the long-lived
 //! [`Evaluator`](crate::service::Evaluator) service lives in the service
-//! layer instead: its sharded, priority-classed scheduler
-//! (`service::scheduler`) replaced the plain blocking queue that used to sit
-//! here.
+//! layer instead, in its priority-classed queue (`service::scheduler`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -15,7 +15,7 @@
 //!    channel to `std::thread::scope` workers, overlapping capture — either
 //!    way the settings are bit-identical.
 //! 3. **Schedule assembly and replay** ([`schedule`]): collect the per-window
-//!    settings into an [`OfflineSchedule`](crate::offline::OfflineSchedule)
+//!    settings into an [`OfflineSchedule`]
 //!    and replay the trace applying each window's setting at its boundary,
 //!    on the same simulator that performed the capture.
 //!

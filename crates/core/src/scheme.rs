@@ -63,6 +63,9 @@ pub mod names {
 
     /// The controller-zoo scheme names, in full-registry order.
     pub const ZOO: [&str; 3] = [PID, SYSSCALE, LEARNED];
+
+    /// Every scheme name, in full-registry order.
+    pub const ALL: [&str; 7] = [OFFLINE, ONLINE, PROFILE, PID, SYSSCALE, LEARNED, GLOBAL];
 }
 
 /// Everything a scheme needs to evaluate one benchmark.
@@ -327,7 +330,7 @@ pub trait DvfsScheme: fmt::Debug + Send + Sync {
 /// The off-line oracle scheme (perfect knowledge of the reference run).
 ///
 /// The expensive analysis runs through the staged
-/// [`AnalysisPipeline`](crate::pipeline::AnalysisPipeline): the per-window
+/// [`AnalysisPipeline`]: the per-window
 /// shaker/threshold stage fans out across `parallelism` worker threads, and
 /// the resulting schedule is stored in (and transparently reused from) the
 /// artifact cache, keyed by `(benchmark, input, machine, config)`.
@@ -642,87 +645,26 @@ impl DvfsScheme for LearnedScheme {
     }
 }
 
-/// An ordered scheme registry that rejects duplicate names. Names are the
-/// identity the evaluator's batch passes, result tables, and lookups key on,
-/// so a second registration under an existing name is an
-/// [`McdError::DuplicateScheme`] instead of a silent shadow.
-#[derive(Debug, Default)]
-pub struct SchemeRegistry {
-    schemes: Vec<Box<dyn DvfsScheme>>,
-}
-
-impl SchemeRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        SchemeRegistry::default()
-    }
-
-    /// Registers a scheme, rejecting a name collision (case-insensitive, so
-    /// `PID` cannot shadow `pid` in tables that fold case).
-    pub fn register(&mut self, scheme: Box<dyn DvfsScheme>) -> Result<(), McdError> {
-        if self
-            .schemes
-            .iter()
-            .any(|s| s.name().eq_ignore_ascii_case(scheme.name()))
-        {
-            return Err(McdError::DuplicateScheme(scheme.name().to_string()));
-        }
-        self.schemes.push(scheme);
-        Ok(())
-    }
-
-    /// Number of registered schemes.
-    pub fn len(&self) -> usize {
-        self.schemes.len()
-    }
-
-    /// Whether the registry holds no schemes.
-    pub fn is_empty(&self) -> bool {
-        self.schemes.is_empty()
-    }
-
-    /// The registered scheme names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.schemes.iter().map(|s| s.name()).collect()
-    }
-
-    /// Consumes the registry, yielding the schemes in registration order.
-    pub fn into_schemes(self) -> Vec<Box<dyn DvfsScheme>> {
-        self.schemes
-    }
-}
-
-/// The paper's standard comparison registry, in evaluation order: off-line
-/// oracle, on-line controller, profile-driven, and (optionally) global DVS.
-pub fn standard_registry(include_global: bool) -> Vec<Box<dyn DvfsScheme>> {
-    full_registry(include_global, false)
-}
-
 /// The full comparison registry: the paper's schemes, optionally the
 /// controller zoo (PID, SysScale-style, learned table), and optionally the
 /// global-DVS baseline last (it matches the off-line oracle's run time, so it
-/// must run after `offline`). Built through [`SchemeRegistry`], whose
-/// duplicate check is statically satisfied here — the names are distinct
-/// constants — so the construction cannot fail.
+/// must run after `offline`). Its names, in order, are a subsequence of
+/// [`names::ALL`].
 pub fn full_registry(include_global: bool, include_zoo: bool) -> Vec<Box<dyn DvfsScheme>> {
-    let mut registry = SchemeRegistry::new();
-    let mut add = |scheme: Box<dyn DvfsScheme>| {
-        registry
-            .register(scheme)
-            .expect("standard scheme names are statically unique");
-    };
-    add(Box::<OfflineScheme>::default());
-    add(Box::<OnlineScheme>::default());
-    add(Box::<ProfileScheme>::default());
+    let mut registry: Vec<Box<dyn DvfsScheme>> = vec![
+        Box::<OfflineScheme>::default(),
+        Box::<OnlineScheme>::default(),
+        Box::<ProfileScheme>::default(),
+    ];
     if include_zoo {
-        add(Box::<PidScheme>::default());
-        add(Box::<SysScaleScheme>::default());
-        add(Box::<LearnedScheme>::default());
+        registry.push(Box::<PidScheme>::default());
+        registry.push(Box::<SysScaleScheme>::default());
+        registry.push(Box::<LearnedScheme>::default());
     }
     if include_global {
-        add(Box::<GlobalDvsScheme>::default());
+        registry.push(Box::<GlobalDvsScheme>::default());
     }
-    registry.into_schemes()
+    registry
 }
 
 /// Builds the full registry per the config's `include_global`/`include_zoo`
@@ -775,13 +717,13 @@ mod tests {
 
     #[test]
     fn standard_registry_contains_the_papers_schemes_in_order() {
-        let registry = standard_registry(true);
+        let registry = full_registry(true, false);
         let names: Vec<&str> = registry.iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
             vec![names::OFFLINE, names::ONLINE, names::PROFILE, names::GLOBAL]
         );
-        let without_global = standard_registry(false);
+        let without_global = full_registry(false, false);
         assert_eq!(without_global.len(), 3);
     }
 
@@ -801,24 +743,10 @@ mod tests {
                 names::GLOBAL
             ]
         );
+        assert_eq!(names, names::ALL);
         // Zoo without global, and the paper shape with the zoo off.
         assert_eq!(full_registry(false, true).len(), 6);
         assert_eq!(full_registry(false, false).len(), 3);
-    }
-
-    #[test]
-    fn scheme_registry_rejects_duplicate_names() {
-        let mut registry = SchemeRegistry::new();
-        registry
-            .register(Box::new(OnlineScheme::default()))
-            .expect("first registration succeeds");
-        let err = registry
-            .register(Box::new(OnlineScheme::default()))
-            .unwrap_err();
-        assert_eq!(err, McdError::DuplicateScheme(names::ONLINE.to_string()));
-        // The failed registration did not shadow or displace the original.
-        assert_eq!(registry.names(), vec![names::ONLINE]);
-        assert_eq!(registry.into_schemes().len(), 1);
     }
 
     #[test]

@@ -4,9 +4,9 @@ use crate::artifact::codec;
 use crate::error::McdError;
 use crate::evaluation::{BenchmarkEvaluation, EvaluationConfig, SchemeResult};
 use crate::fault::{FaultPlan, FaultSite, InjectedPanic};
-use crate::scheme::{full_registry, DvfsScheme, Pools, Prepared, SchemeContext, SchemeOutcome};
+use crate::scheme::{names, DvfsScheme, Pools, Prepared, SchemeContext, SchemeOutcome};
 use crate::service::job::{EvalBatch, EvalJob, JobId};
-use crate::service::scheduler::{PushOutcome, ShardedScheduler, TokenBucket};
+use crate::service::scheduler::{AdmissionStats, PushOutcome, Scheduler, TokenBucket};
 use crate::service::stream::{EvalEvent, ResultStream};
 use mcd_sim::config::MachineConfig;
 use mcd_sim::fingerprint::{Fingerprint, Fnv1a};
@@ -51,7 +51,7 @@ impl std::fmt::Display for RejectReason {
 }
 
 /// The per-job outcome of a capacity-checked submission
-/// ([`Evaluator::try_submit_all`] / [`Evaluator::try_submit_batch`]).
+/// ([`Evaluator::try_submit_all`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// The job was accepted and enqueued.
@@ -82,25 +82,6 @@ impl Admission {
     /// True when the job was accepted.
     pub fn is_queued(&self) -> bool {
         matches!(self, Admission::Queued { .. })
-    }
-}
-
-/// Counters of the admission front-end, one increment per job (a rejected
-/// batch counts each member).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AdmissionStats {
-    /// Jobs accepted through the capacity-checked entry points.
-    pub accepted: u64,
-    /// Jobs rejected because the queue was at capacity.
-    pub rejected_queue_full: u64,
-    /// Jobs rejected by the rate limiter.
-    pub rejected_rate_limited: u64,
-}
-
-impl AdmissionStats {
-    /// Total rejected jobs across both reasons.
-    pub fn rejected(&self) -> u64 {
-        self.rejected_queue_full + self.rejected_rate_limited
     }
 }
 
@@ -205,15 +186,9 @@ struct QueuedJob {
 struct Shared {
     config: EvaluationConfig,
     window_parallelism: usize,
-    queue: ShardedScheduler<Vec<QueuedJob>>,
-    /// Bound (in jobs) enforced by the capacity-checked entry points; the
-    /// unconditional `submit*` family ignores it.
-    queue_capacity: Option<usize>,
-    /// Token-bucket limiter of the capacity-checked entry points.
-    rate: Option<Mutex<TokenBucket>>,
-    admitted: AtomicU64,
-    rejected_full: AtomicU64,
-    rejected_rate: AtomicU64,
+    /// The job queue; it also owns admission control (capacity bound, rate
+    /// limiter and counters) of the capacity-checked entry point.
+    queue: Scheduler<Vec<QueuedJob>>,
     baselines: Mutex<HashMap<u64, Arc<OnceLock<Arc<BaselineArtifacts>>>>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
@@ -344,17 +319,17 @@ impl EvaluatorBuilder {
     }
 
     /// Bounds the queue at `capacity` jobs (floor 1) for the
-    /// capacity-checked entry points ([`Evaluator::try_submit_all`] /
-    /// [`Evaluator::try_submit_batch`]): submissions that would exceed the
-    /// bound are rejected with [`RejectReason::QueueFull`] instead of growing
-    /// memory without limit. The unconditional `submit*` family is unaffected.
+    /// capacity-checked entry point ([`Evaluator::try_submit_all`]):
+    /// submissions that would exceed the bound are rejected with
+    /// [`RejectReason::QueueFull`] instead of growing memory without limit.
+    /// The unconditional `submit*` family is unaffected.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = Some(capacity.max(1));
         self
     }
 
     /// Installs a token-bucket rate limiter on the capacity-checked entry
-    /// points: sustained throughput `per_second` jobs/s with bursts up to
+    /// point ([`Evaluator::try_submit_all`]): sustained throughput `per_second` jobs/s with bursts up to
     /// `burst` jobs. Submissions beyond the budget are rejected with
     /// [`RejectReason::RateLimited`].
     pub fn rate_limit(mut self, per_second: f64, burst: f64) -> Self {
@@ -394,14 +369,12 @@ impl EvaluatorBuilder {
         let shared = Arc::new(Shared {
             config: self.config,
             window_parallelism,
-            queue: ShardedScheduler::new(workers).with_faults(Arc::clone(&faults)),
-            queue_capacity: self.queue_capacity,
-            rate: self.rate_limit.map(|(per_second, burst)| {
-                Mutex::new(TokenBucket::new(per_second, burst, Instant::now()))
-            }),
-            admitted: AtomicU64::new(0),
-            rejected_full: AtomicU64::new(0),
-            rejected_rate: AtomicU64::new(0),
+            queue: Scheduler::new(
+                self.queue_capacity,
+                self.rate_limit
+                    .map(|(per_second, burst)| TokenBucket::new(per_second, burst, Instant::now())),
+            )
+            .with_faults(Arc::clone(&faults)),
             baselines: Mutex::new(HashMap::new()),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
@@ -418,7 +391,7 @@ impl EvaluatorBuilder {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("mcd-eval-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("worker thread spawns")
             })
             .collect();
@@ -503,13 +476,9 @@ impl Evaluator {
     }
 
     /// Snapshot of the admission-control counters (the capacity-checked
-    /// entry points only; the unconditional `submit*` family bypasses them).
+    /// entry point only; the unconditional `submit*` family bypasses them).
     pub fn admission_stats(&self) -> AdmissionStats {
-        AdmissionStats {
-            accepted: self.shared.admitted.load(Ordering::Relaxed),
-            rejected_queue_full: self.shared.rejected_full.load(Ordering::Relaxed),
-            rejected_rate_limited: self.shared.rejected_rate.load(Ordering::Relaxed),
-        }
+        self.shared.queue.admission_stats()
     }
 
     /// Releases the memoized reference traces and baselines; the counters
@@ -553,24 +522,6 @@ impl Evaluator {
         self.submit_groups(jobs.into_iter().map(|job| vec![job]), true)
     }
 
-    /// Consults the rate limiter for `tokens` jobs' worth of budget; `Some`
-    /// carries the rejection reason, `None` admits.
-    fn admit(&self, tokens: f64) -> Option<RejectReason> {
-        let rate = self.shared.rate.as_ref()?;
-        let admitted = rate
-            .lock()
-            .expect("rate-limiter lock never poisoned")
-            .try_take(tokens, Instant::now());
-        if admitted {
-            None
-        } else {
-            self.shared
-                .rejected_rate
-                .fetch_add(tokens.max(1.0) as u64, Ordering::Relaxed);
-            Some(RejectReason::RateLimited)
-        }
-    }
-
     /// Submits a validated [`EvalBatch`]: the whole group goes to one worker,
     /// which pays for the shared baseline once and runs every member's
     /// schemes as parallel configuration lanes of one fused simulation pass.
@@ -580,16 +531,6 @@ impl Evaluator {
     /// [`batch_stats`](Evaluator::batch_stats).
     pub fn submit_batch(&self, batch: EvalBatch) -> ResultStream {
         self.submit_groups([batch.jobs], false).0
-    }
-
-    /// Capacity-checked [`submit_batch`](Evaluator::submit_batch): the batch
-    /// is one schedulable unit, so it is admitted or rejected whole — the
-    /// rate limiter is charged one token per member and the queue bound is
-    /// checked against the full member count. On rejection every member gets
-    /// a terminal [`EvalEvent::JobRejected`] and a matching
-    /// [`Admission::Rejected`] entry.
-    pub fn try_submit_batch(&self, batch: EvalBatch) -> (ResultStream, Vec<Admission>) {
-        self.submit_groups([batch.jobs], true)
     }
 
     /// Enqueues each group as one schedulable unit on one shared stream;
@@ -648,82 +589,52 @@ impl Evaluator {
             })
             .collect();
 
-        // Reserve first, then emit `JobQueued`, then land the work: the
-        // reservation makes the depth gauge exact and the ordering keeps
-        // `JobQueued` ahead of the worker's `JobStarted` on the stream.
-        let capacity = if checked {
-            self.shared.queue_capacity
-        } else {
-            None
-        };
-        let rate_limited = if checked {
-            self.admit(jobs as f64)
-        } else {
-            None
-        };
-        let reserved = match rate_limited {
-            Some(reason) => Err(Some(reason)),
-            None => match self.shared.queue.try_reserve(jobs, capacity) {
+        // The queue decides admission and runs this callback under its lock,
+        // before the group becomes poppable: every `JobQueued` is on the
+        // stream ahead of the worker's `JobStarted`.
+        let capacity = self.shared.queue.capacity().unwrap_or(usize::MAX);
+        let decided = |members: &Vec<QueuedJob>, outcome: &PushOutcome| {
+            let verdict = match *outcome {
                 PushOutcome::Pushed(depth) => Ok(depth),
-                PushOutcome::Full(depth) => {
-                    self.shared
-                        .rejected_full
-                        .fetch_add(jobs as u64, Ordering::Relaxed);
-                    Err(Some(RejectReason::QueueFull {
-                        depth,
-                        capacity: capacity.unwrap_or(usize::MAX),
-                    }))
-                }
+                PushOutcome::Full(depth) => Err(Some(RejectReason::QueueFull { depth, capacity })),
+                PushOutcome::RateLimited => Err(Some(RejectReason::RateLimited)),
                 // Unreachable while the evaluator is alive (close happens in
                 // drop), but keeps every job's stream terminating if that
                 // changes.
                 PushOutcome::Closed => Err(None),
-            },
-        };
-
-        match reserved {
-            Ok(depth) => {
-                if checked {
-                    self.shared
-                        .admitted
-                        .fetch_add(jobs as u64, Ordering::Relaxed);
-                }
-                for member in &members {
-                    admissions.push(Admission::Queued {
-                        job: member.id,
-                        depth,
-                    });
-                    let _ = sender.send(EvalEvent::JobQueued {
-                        job: member.id,
-                        benchmark: member.job.benchmark.name.to_string(),
-                        depth,
-                    });
-                }
-                self.shared.queue.push_reserved(members, priority, jobs);
-            }
-            Err(Some(reason)) => {
-                for member in members {
-                    admissions.push(Admission::Rejected {
-                        job: member.id,
-                        reason,
-                    });
-                    let _ = sender.send(EvalEvent::JobRejected {
-                        job: member.id,
-                        benchmark: member.job.benchmark.name.to_string(),
-                        reason,
-                    });
-                }
-            }
-            Err(None) => {
-                for member in members {
-                    let _ = sender.send(EvalEvent::JobFailed {
-                        job: member.id,
-                        benchmark: member.job.benchmark.name.to_string(),
+            };
+            for member in members {
+                let job = member.id;
+                let benchmark = member.job.benchmark.name.to_string();
+                let event = match verdict {
+                    Ok(depth) => {
+                        admissions.push(Admission::Queued { job, depth });
+                        EvalEvent::JobQueued {
+                            job,
+                            benchmark,
+                            depth,
+                        }
+                    }
+                    Err(Some(reason)) => {
+                        admissions.push(Admission::Rejected { job, reason });
+                        EvalEvent::JobRejected {
+                            job,
+                            benchmark,
+                            reason,
+                        }
+                    }
+                    Err(None) => EvalEvent::JobFailed {
+                        job,
+                        benchmark,
                         error: McdError::Shutdown,
-                    });
-                }
+                    },
+                };
+                let _ = sender.send(event);
             }
-        }
+        };
+        self.shared
+            .queue
+            .enqueue(members, priority, jobs, checked, decided);
     }
 }
 
@@ -773,9 +684,9 @@ fn panic_error(payload: Box<dyn std::any::Any + Send>) -> McdError {
     McdError::Panic(msg)
 }
 
-/// A worker: pop groups (own shard first, stealing otherwise) until the
-/// queue closes and drains. Each popped group first emits `JobStarted` per
-/// job, carrying the queue-latency and depth gauges.
+/// A worker: pop groups off the shared queue until it closes and drains.
+/// Each popped group first emits `JobStarted` per job, carrying the
+/// queue-latency and depth gauges.
 ///
 /// Group execution runs under `catch_unwind`, so a panic — injected by the
 /// fault plan or a genuine bug — poisons only the jobs still without a
@@ -784,8 +695,8 @@ fn panic_error(payload: Box<dyn std::any::Any + Send>) -> McdError {
 /// state is unwind-safe by construction: no lock is held across job
 /// execution, and the baseline memo's `OnceLock` is left uninitialized (not
 /// poisoned) when its initializer panics, so a later job simply recomputes.
-fn worker_loop(shared: &Shared, worker: usize) {
-    while let Some(group) = shared.queue.pop(worker) {
+fn worker_loop(shared: &Shared) {
+    while let Some(group) = shared.queue.pop() {
         let depth = shared.queue.depth();
         for member in &group {
             let _ = member.events.send(EvalEvent::JobStarted {
@@ -950,8 +861,7 @@ fn execute(shared: &Shared, mut members: Vec<BatchMember<'_>>) {
         announced: false,
     };
     let mut pools = Pools::default();
-    for (rank, scheme) in full_registry(true, true).iter().enumerate() {
-        let name = scheme.name();
+    for (rank, &name) in names::ALL.iter().enumerate() {
         let reads_prior = members.iter().any(|m| {
             !m.failed
                 && m.registry
@@ -1176,7 +1086,12 @@ mod tests {
                 EvalJob::new(bench.clone())
                     .with_slowdown(0.10)
                     .with_schemes([names::OFFLINE, names::PROFILE]),
-                EvalJob::new(bench.clone()).with_global(true),
+                EvalJob::new(bench.clone()).with_schemes([
+                    names::OFFLINE,
+                    names::ONLINE,
+                    names::PROFILE,
+                    names::GLOBAL,
+                ]),
             ]
         };
         let serial = Evaluator::builder()
@@ -1300,7 +1215,14 @@ mod tests {
         use crate::scheme::names;
 
         let bench = mcd_workloads::suite::benchmark("adpcm decode").unwrap();
-        let healthy = || EvalJob::new(bench.clone()).with_global(true);
+        let healthy = || {
+            EvalJob::new(bench.clone()).with_schemes([
+                names::OFFLINE,
+                names::ONLINE,
+                names::PROFILE,
+                names::GLOBAL,
+            ])
+        };
         let alone = Evaluator::builder()
             .build()
             .submit(healthy())

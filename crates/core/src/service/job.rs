@@ -39,8 +39,6 @@ pub struct EvalJob {
     pub(crate) policy: Option<ContextPolicy>,
     pub(crate) online: Option<OnlineConfig>,
     pub(crate) pid: Option<PidConfig>,
-    pub(crate) include_global: Option<bool>,
-    pub(crate) include_zoo: Option<bool>,
     pub(crate) schemes: Option<Vec<String>>,
 }
 
@@ -54,8 +52,6 @@ impl EvalJob {
             policy: None,
             online: None,
             pid: None,
-            include_global: None,
-            include_zoo: None,
             schemes: None,
         }
     }
@@ -109,21 +105,10 @@ impl EvalJob {
         self
     }
 
-    /// Overrides whether the global-DVS baseline is part of the comparison.
-    pub fn with_global(mut self, include_global: bool) -> Self {
-        self.include_global = Some(include_global);
-        self
-    }
-
-    /// Overrides whether the controller zoo (PID, SysScale-style, learned
-    /// table) is part of the comparison.
-    pub fn with_zoo(mut self, include_zoo: bool) -> Self {
-        self.include_zoo = Some(include_zoo);
-        self
-    }
-
-    /// Restricts the job to the named schemes (standard registry order is
-    /// preserved; see [`subset_registry`] for the `global` caveats).
+    /// Restricts the job to the named schemes (full-registry order is
+    /// preserved; see [`subset_registry`] for the `global` caveats). Naming
+    /// `global` or a controller-zoo scheme adds it to the comparison even
+    /// when the base config leaves it out.
     pub fn with_schemes<I, S>(mut self, schemes: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -154,12 +139,6 @@ impl EvalJob {
         }
         if let Some(pid) = self.pid {
             config.pid = pid;
-        }
-        if let Some(include_global) = self.include_global {
-            config.include_global = include_global;
-        }
-        if let Some(include_zoo) = self.include_zoo {
-            config.include_zoo = include_zoo;
         }
         config
     }
@@ -267,6 +246,7 @@ impl EvalBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::names;
     use mcd_workloads::suite;
 
     #[test]
@@ -276,13 +256,17 @@ mod tests {
         let job = EvalJob::new(bench)
             .with_slowdown(0.14)
             .with_policy(ContextPolicy::Func)
-            .with_global(true);
+            .with_schemes([names::OFFLINE, names::GLOBAL]);
         let config = job.effective_config(&base, 3);
         assert!((config.training.slowdown - 0.14).abs() < 1e-12);
         assert!((config.offline.slowdown - 0.14).abs() < 1e-12);
         assert_eq!(config.training.policy, ContextPolicy::Func);
-        assert!(config.include_global);
         assert_eq!(config.parallelism, 3);
+        // Naming `global` adds it without the base config's include flag.
+        assert!(!config.include_global);
+        let registry = job.build_registry(&config).expect("known schemes");
+        let picked: Vec<&str> = registry.iter().map(|s| s.name()).collect();
+        assert_eq!(picked, [names::OFFLINE, names::GLOBAL]);
     }
 
     #[test]

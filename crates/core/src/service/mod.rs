@@ -7,17 +7,16 @@
 //!
 //! * **Build once** ([`Evaluator::builder`]): machine model, analysis
 //!   parameters, artifact cache and thread budget are fixed up front; a pool
-//!   of worker threads behind a sharded, priority-classed work-stealing
-//!   scheduler waits for jobs.
+//!   of worker threads shares one priority-classed queue and waits for jobs.
 //! * **Submit jobs** ([`Evaluator::submit`], [`Evaluator::submit_all`]): an
 //!   [`EvalJob`] is a benchmark plus overrides — slowdown target, context
 //!   policy, on-line tuning, scheme subset — and a [`Priority`] class
-//!   (`Interactive` / `Batch` / `Background`; per-class FIFO, starvation
-//!   guarded). Submission never blocks on evaluation work. The
-//!   capacity-checked twins ([`Evaluator::try_submit_all`],
-//!   [`Evaluator::try_submit_batch`]) add admission control: a bounded queue
-//!   and a token-bucket rate limiter turn overload into explicit
-//!   [`Admission::Rejected`] outcomes instead of unbounded memory growth.
+//!   (`Interactive` / `Batch` / `Background`; per-class FIFO across all
+//!   workers, starvation guarded). Submission never blocks on evaluation
+//!   work. The capacity-checked twin [`Evaluator::try_submit_all`] adds
+//!   admission control: a bounded queue and a token-bucket rate limiter turn
+//!   overload into explicit [`Admission::Rejected`] outcomes instead of
+//!   unbounded memory growth.
 //! * **Share baselines**: the service memoizes reference traces and
 //!   full-speed baselines per `(benchmark, machine)` fingerprint, so a sweep
 //!   submitting many configurations of the same benchmarks produces each
@@ -61,11 +60,11 @@
 //!   the group's simulation pass, which computes it as a lane unless the
 //!   memo already held it (`memo_hit` says whether another job paid for it).
 //! * [`EvalEvent::SchemeFinished`] — one per scheme in the job's registry, in
-//!   registry order, each carrying the scheme's [`SchemeOutcome`]
-//!   (see [`crate::scheme`]). The schemes replayed in the group's pass
-//!   finish together: their events arrive in a burst right after
-//!   `BaselineReady`; a scheme that reads earlier outcomes (global DVS)
-//!   follows once it has run.
+//!   registry order, each carrying the scheme's
+//!   [`SchemeOutcome`](crate::scheme::SchemeOutcome). The schemes replayed
+//!   in the group's pass finish together: their events arrive in a burst
+//!   right after `BaselineReady`; a scheme that reads earlier outcomes
+//!   (global DVS) follows once it has run.
 //! * [`EvalEvent::JobCompleted`] / [`EvalEvent::JobFailed`] — terminal; a
 //!   completed job carries the full
 //!   [`BenchmarkEvaluation`](crate::evaluation::BenchmarkEvaluation). A failed
@@ -114,9 +113,7 @@ mod job;
 mod scheduler;
 mod stream;
 
-pub use evaluator::{
-    Admission, AdmissionStats, BatchStats, Evaluator, EvaluatorBuilder, MemoStats, RejectReason,
-};
+pub use evaluator::{Admission, BatchStats, Evaluator, EvaluatorBuilder, MemoStats, RejectReason};
 pub use job::{EvalBatch, EvalJob, JobId};
-pub use scheduler::{Priority, STARVATION_LIMIT};
+pub use scheduler::{AdmissionStats, Priority, STARVATION_LIMIT};
 pub use stream::{EvalEvent, ResultStream};

@@ -1,37 +1,34 @@
-//! Sharded priority scheduling and admission control for the [`Evaluator`]
+//! Priority scheduling and admission control for the [`Evaluator`]
 //! (see the [service docs](crate::service)).
 //!
 //! Three pieces live here:
 //!
 //! * [`Priority`] — the public priority classes a submitter stamps on an
 //!   [`EvalJob`](crate::service::EvalJob).
-//! * [`ShardedScheduler`] — the worker pool's queue: one shard per worker,
-//!   each holding a FIFO deque per priority class. Workers pop from their own
-//!   shard and steal from the others when it is empty, so a hot submitter
-//!   cannot serialize the pool behind one lock. Higher classes are served
-//!   first, but a lower class that has been bypassed
-//!   [`STARVATION_LIMIT`] times in a row is served next regardless —
-//!   background work makes progress under any interactive load.
-//! * [`TokenBucket`] — the submission front-end's rate limiter: a classic
+//! * [`Scheduler`] — the worker pool's queue: one FIFO deque per priority
+//!   class under one lock, shared by every worker, so per-class FIFO holds
+//!   across the whole pool. Higher classes are served first, but a lower
+//!   class that has been bypassed [`STARVATION_LIMIT`] times in a row is
+//!   served next regardless — background work makes progress under any
+//!   interactive load. The same lock owns admission: the capacity bound, the
+//!   rate limiter and the [`AdmissionStats`] counters, so an admission
+//!   decision and the insertion it allows are one atomic step.
+//! * [`TokenBucket`] — the admission front-end's rate limiter: a classic
 //!   token bucket (capacity = burst, steady refill), driven by explicit
 //!   timestamps so admission decisions are unit-testable without sleeping.
 //!
-//! The scheduler is deliberately *not* globally FIFO across shards: per-class
-//! FIFO holds within each shard (and therefore exactly, when there is one
-//! shard), while cross-shard order is only approximate — that is the price of
-//! sharding, and the paper-shaped workloads never depend on global order.
+//! [`Evaluator`]: crate::service::Evaluator
 
 use crate::fault::plan::LOCK_STALL;
 use crate::fault::{FaultPlan, FaultSite};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Priority class of one submission, highest first.
 ///
 /// Classes share the evaluator; they only decide who goes first when the
-/// queue is contended. Within a class, jobs of one shard are served FIFO.
+/// queue is contended. Within a class, jobs are served FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
     /// Latency-sensitive work: served before everything else.
@@ -70,10 +67,29 @@ impl std::fmt::Display for Priority {
 }
 
 /// How many times a non-empty lower class may be bypassed by higher-priority
-/// pops before it is served regardless. The bound is per shard and per class:
-/// under a saturating interactive stream, a queued background item still pops
-/// within `STARVATION_LIMIT + 1` pops of its shard.
+/// pops before it is served regardless. The bound is per class: under a
+/// saturating interactive stream, a queued background item still pops
+/// within `STARVATION_LIMIT + 1` pops.
 pub const STARVATION_LIMIT: u32 = 7;
+
+/// Counters of the admission front-end, one increment per job (a rejected
+/// batch counts each member).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AdmissionStats {
+    /// Jobs accepted through the capacity-checked entry point.
+    pub accepted: u64,
+    /// Jobs rejected because the queue was at capacity.
+    pub rejected_queue_full: u64,
+    /// Jobs rejected by the rate limiter.
+    pub rejected_rate_limited: u64,
+}
+
+impl AdmissionStats {
+    /// Total rejected jobs across both reasons.
+    pub fn rejected(&self) -> u64 {
+        self.rejected_queue_full + self.rejected_rate_limited
+    }
+}
 
 /// One queued entry: the payload plus its accounting weight (a batched group
 /// counts each member toward queue depth and capacity).
@@ -82,28 +98,33 @@ struct Entry<T> {
     item: T,
 }
 
-/// One shard: a FIFO deque per priority class plus the bypass counters the
-/// starvation guard reads.
-struct Shard<T> {
+/// Everything the scheduler's one lock guards.
+struct State<T> {
+    /// A FIFO deque per priority class, most urgent first.
     classes: [VecDeque<Entry<T>>; 3],
+    /// Bypass counters the starvation guard reads.
     skipped: [u32; 3],
+    /// Queued jobs (a batch counts its members).
+    jobs: usize,
+    /// High-water mark of `jobs`.
+    peak_jobs: usize,
+    closed: bool,
+    aborted: bool,
+    /// Rate limiter of the checked pushes.
+    rate: Option<TokenBucket>,
+    admission: AdmissionStats,
 }
 
-impl<T> Shard<T> {
-    fn new() -> Self {
-        Shard {
-            classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            skipped: [0; 3],
-        }
+impl<T> State<T> {
+    fn is_empty(&self) -> bool {
+        self.classes.iter().all(VecDeque::is_empty)
     }
 
-    /// Serves the next entry of this shard under the priority discipline:
-    /// a class bypassed [`STARVATION_LIMIT`] times goes first (oldest starved
-    /// class wins, i.e. the lowest such index is checked last so deeper
-    /// starvation is preferred), otherwise the most urgent non-empty class;
-    /// every lower non-empty class it bypasses ages by one.
+    /// Serves the next entry under the priority discipline: a class bypassed
+    /// [`STARVATION_LIMIT`] times goes first (the most-starved such class
+    /// wins), otherwise the most urgent non-empty class; every lower
+    /// non-empty class it bypasses ages by one.
     fn pop(&mut self) -> Option<Entry<T>> {
-        // Starved classes first, most-starved (largest skip count) first.
         let starved = (0..3)
             .filter(|&c| self.skipped[c] >= STARVATION_LIMIT && !self.classes[c].is_empty())
             .max_by_key(|&c| self.skipped[c]);
@@ -111,99 +132,80 @@ impl<T> Shard<T> {
             self.skipped[c] = 0;
             return self.classes[c].pop_front();
         }
-        for c in 0..3 {
-            if let Some(entry) = self.classes[c].pop_front() {
-                self.skipped[c] = 0;
-                for lower in &mut self.skipped[c + 1..] {
-                    *lower += 1;
-                }
-                // Aging only counts against classes that actually had work.
-                for (lower, skipped) in self.classes[c + 1..].iter().zip(&mut self.skipped[c + 1..])
-                {
-                    if lower.is_empty() {
-                        *skipped = 0;
-                    }
-                }
-                return Some(entry);
-            }
+        let c = (0..3).find(|&c| !self.classes[c].is_empty())?;
+        self.skipped[c] = 0;
+        // Aging only counts against classes that actually had work.
+        for lower in c + 1..3 {
+            self.skipped[lower] = if self.classes[lower].is_empty() {
+                0
+            } else {
+                self.skipped[lower] + 1
+            };
         }
-        None
-    }
-
-    fn drain(&mut self) -> Vec<T> {
-        let mut items = Vec::new();
-        for class in &mut self.classes {
-            items.extend(class.drain(..).map(|e| e.item));
-        }
-        items
+        self.classes[c].pop_front()
     }
 }
 
-/// Shared counters and lifecycle flags, guarded by one small mutex that is
-/// never held while a shard is locked (and vice versa), so push and pop can
-/// never deadlock against each other.
-struct Gate {
-    /// Queued entries across all shards (a batch is one entry).
-    entries: usize,
-    /// Queued jobs across all shards (a batch counts its members).
-    jobs: usize,
-    /// High-water mark of `jobs`.
-    peak_jobs: usize,
-    closed: bool,
-    aborted: bool,
-}
-
-/// The outcome of a capacity-checked push.
-#[derive(Debug, PartialEq, Eq)]
+/// The outcome of a push.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PushOutcome {
     /// Accepted; carries the queue depth (in jobs) after the push.
     Pushed(usize),
-    /// Rejected: `jobs` more would exceed the capacity. Carries the current
-    /// depth.
+    /// Rejected: the entry's jobs would exceed the capacity. Carries the
+    /// current depth.
     Full(usize),
+    /// Rejected: the rate limiter ran dry.
+    RateLimited,
     /// Rejected: the scheduler is shutting down.
     Closed,
 }
 
-/// A sharded, priority-classed, work-stealing blocking queue.
+/// A priority-classed blocking queue with admission control, under one
+/// lock.
 ///
 /// See the [module docs](self) for the discipline. All methods are safe to
 /// call from any thread.
-pub(crate) struct ShardedScheduler<T> {
-    shards: Vec<Mutex<Shard<T>>>,
-    gate: Mutex<Gate>,
+pub(crate) struct Scheduler<T> {
+    state: Mutex<State<T>>,
+    /// Signalled to workers when an entry lands, and on close and abort.
     available: Condvar,
-    next_shard: AtomicUsize,
+    /// Signalled to [`wait_empty`](Scheduler::wait_empty) when the queue
+    /// empties.
+    drained: Condvar,
+    /// Bound (in jobs) of the checked pushes.
+    capacity: Option<usize>,
     /// Fault-injection plan consulted per pop ([`FaultSite::LockStall`]
     /// models a descheduled consumer); the default plan is disabled.
     faults: Arc<FaultPlan>,
 }
 
-impl<T> std::fmt::Debug for ShardedScheduler<T> {
+impl<T> std::fmt::Debug for Scheduler<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedScheduler")
-            .field("shards", &self.shards.len())
+        f.debug_struct("Scheduler")
             .field("depth_jobs", &self.depth())
+            .field("capacity", &self.capacity)
             .finish()
     }
 }
 
-impl<T> ShardedScheduler<T> {
-    /// Creates a scheduler with `shards` shards (floor 1) — one per worker.
-    pub(crate) fn new(shards: usize) -> Self {
-        ShardedScheduler {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(Shard::new()))
-                .collect(),
-            gate: Mutex::new(Gate {
-                entries: 0,
+impl<T> Scheduler<T> {
+    /// Creates an empty scheduler whose checked pushes are bounded at
+    /// `capacity` jobs and charged against `rate` (either may be absent).
+    pub(crate) fn new(capacity: Option<usize>, rate: Option<TokenBucket>) -> Self {
+        Scheduler {
+            state: Mutex::new(State {
+                classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+                skipped: [0; 3],
                 jobs: 0,
                 peak_jobs: 0,
                 closed: false,
                 aborted: false,
+                rate,
+                admission: AdmissionStats::default(),
             }),
             available: Condvar::new(),
-            next_shard: AtomicUsize::new(0),
+            drained: Condvar::new(),
+            capacity,
             faults: Arc::new(FaultPlan::disabled()),
         }
     }
@@ -215,159 +217,144 @@ impl<T> ShardedScheduler<T> {
         self
     }
 
-    fn gate(&self) -> std::sync::MutexGuard<'_, Gate> {
-        self.gate.lock().expect("scheduler gate never poisoned")
+    fn state(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().expect("scheduler lock never poisoned")
     }
 
-    fn shard(&self, i: usize) -> std::sync::MutexGuard<'_, Shard<T>> {
-        self.shards[i]
-            .lock()
-            .expect("scheduler shard never poisoned")
+    /// The bound (in jobs) of the checked pushes.
+    pub(crate) fn capacity(&self) -> Option<usize> {
+        self.capacity
     }
 
     /// Current queue depth in jobs (batch members counted individually).
     pub(crate) fn depth(&self) -> usize {
-        self.gate().jobs
+        self.state().jobs
     }
 
     /// High-water mark of the queue depth in jobs.
     pub(crate) fn peak_depth(&self) -> usize {
-        self.gate().peak_jobs
+        self.state().peak_jobs
     }
 
-    /// Reserves space for one entry of weight `jobs`, unless doing so would
-    /// push the depth past `capacity` or the scheduler is closed.
+    /// Snapshot of the admission counters (checked pushes only).
+    pub(crate) fn admission_stats(&self) -> AdmissionStats {
+        self.state().admission
+    }
+
+    /// Enqueues one entry of weight `jobs` under `priority`. A `checked`
+    /// entry passes admission first: the rate limiter is charged `jobs`
+    /// tokens and the depth may not exceed the capacity; the admission
+    /// counters record the verdict. An unchecked entry skips both. Entries
+    /// arriving after [`close`](Scheduler::close) are refused either way.
     ///
-    /// The capacity check and the depth update happen under one lock, so a
-    /// bounded scheduler never overshoots its capacity no matter how many
-    /// submitters race. On `Pushed` the depth gauge already includes the
-    /// reservation and the caller MUST follow up with
-    /// [`push_reserved`](ShardedScheduler::push_reserved) promptly —
-    /// consumers rescan (yielding) until the reserved entry lands. The split
-    /// exists so a submitter can emit its "queued" events *before* the entry
-    /// becomes poppable, keeping per-job event order.
-    pub(crate) fn try_reserve(&self, jobs: usize, capacity: Option<usize>) -> PushOutcome {
-        let mut gate = self.gate();
-        if gate.closed {
-            return PushOutcome::Closed;
-        }
-        if let Some(cap) = capacity {
-            if gate.jobs + jobs > cap {
-                return PushOutcome::Full(gate.jobs);
-            }
-        }
-        gate.entries += 1;
-        gate.jobs += jobs;
-        gate.peak_jobs = gate.peak_jobs.max(gate.jobs);
-        PushOutcome::Pushed(gate.jobs)
-    }
-
-    /// Lands an entry whose space was reserved by a successful
-    /// [`try_reserve`](ShardedScheduler::try_reserve); `jobs` must match the
-    /// reservation. The gate lock is never held here (see [`Gate`]).
-    pub(crate) fn push_reserved(&self, item: T, priority: Priority, jobs: usize) {
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shard(shard).classes[priority.index()].push_back(Entry { jobs, item });
-        self.available.notify_one();
-    }
-
-    /// Enqueues one entry of weight `jobs` under `priority`, unless doing so
-    /// would push the depth past `capacity` or the scheduler is closed (the
-    /// item is dropped on rejection). Production paths use the
-    /// reserve-then-land split directly; the tests keep this one-shot shape.
-    #[cfg(test)]
-    pub(crate) fn try_push(
+    /// `decided` sees the item and the outcome under the lock, before the
+    /// entry becomes poppable, so whatever it sends (a "queued" event) is
+    /// ordered ahead of anything a worker does with the entry. A refused item
+    /// is dropped after `decided` returns.
+    pub(crate) fn enqueue(
         &self,
         item: T,
         priority: Priority,
         jobs: usize,
-        capacity: Option<usize>,
+        checked: bool,
+        decided: impl FnOnce(&T, &PushOutcome),
     ) -> PushOutcome {
-        let outcome = self.try_reserve(jobs, capacity);
-        if matches!(outcome, PushOutcome::Pushed(_)) {
-            self.push_reserved(item, priority, jobs);
+        let mut state = self.state();
+        let outcome = if state.closed {
+            PushOutcome::Closed
+        } else if !checked {
+            PushOutcome::Pushed(state.jobs + jobs)
+        } else if let Some(false) = state
+            .rate
+            .as_mut()
+            .map(|rate| rate.try_take(jobs as f64, Instant::now()))
+        {
+            state.admission.rejected_rate_limited += jobs as u64;
+            PushOutcome::RateLimited
+        } else if self.capacity.is_some_and(|cap| state.jobs + jobs > cap) {
+            state.admission.rejected_queue_full += jobs as u64;
+            PushOutcome::Full(state.jobs)
+        } else {
+            state.admission.accepted += jobs as u64;
+            PushOutcome::Pushed(state.jobs + jobs)
+        };
+        decided(&item, &outcome);
+        if let PushOutcome::Pushed(depth) = outcome {
+            state.jobs = depth;
+            state.peak_jobs = state.peak_jobs.max(depth);
+            state.classes[priority.index()].push_back(Entry { jobs, item });
+            self.available.notify_one();
         }
         outcome
     }
 
-    /// Enqueues unconditionally (no capacity bound). Items pushed after
-    /// [`close`](ShardedScheduler::close) are dropped, as on the old queue.
+    /// A checked [`enqueue`](Scheduler::enqueue) without a callback.
     #[cfg(test)]
-    pub(crate) fn push(&self, item: T, priority: Priority, jobs: usize) {
-        let _ = self.try_push(item, priority, jobs, None);
+    fn try_push(&self, item: T, priority: Priority, jobs: usize) -> PushOutcome {
+        self.enqueue(item, priority, jobs, true, |_, _| {})
     }
 
-    /// Dequeues the next item for worker `worker`: its own shard first, then
-    /// stealing from the others in ring order. Blocks while the scheduler is
-    /// empty and open; returns `None` once it is closed and drained, or
-    /// immediately after an [`abort`](ShardedScheduler::abort).
-    pub(crate) fn pop(&self, worker: usize) -> Option<T> {
+    /// An unchecked [`enqueue`](Scheduler::enqueue) without a callback.
+    #[cfg(test)]
+    fn push(&self, item: T, priority: Priority, jobs: usize) {
+        self.enqueue(item, priority, jobs, false, |_, _| {});
+    }
+
+    /// Dequeues the next item. Blocks while the scheduler is empty and open;
+    /// returns `None` once it is closed and drained, or immediately after an
+    /// [`abort`](Scheduler::abort).
+    pub(crate) fn pop(&self) -> Option<T> {
         if self.faults.should(FaultSite::LockStall) {
             // A descheduled consumer: queued work waits while its worker is
-            // off-CPU, widening the pop/steal race windows.
+            // off-CPU, widening the push/pop race windows.
             std::thread::sleep(LOCK_STALL);
         }
-        let n = self.shards.len();
+        let mut state = self.state();
         loop {
-            for k in 0..n {
-                let taken = self.shard((worker + k) % n).pop();
-                if let Some(entry) = taken {
-                    let mut gate = self.gate();
-                    gate.entries -= 1;
-                    gate.jobs -= entry.jobs;
-                    if gate.entries == 0 {
-                        // Wake shutdown waiters in wait_empty.
-                        self.available.notify_all();
-                    }
-                    return Some(entry.item);
-                }
-            }
-            let gate = self.gate();
-            if gate.aborted || (gate.entries == 0 && gate.closed) {
+            if state.aborted {
                 return None;
             }
-            if gate.entries > 0 {
-                // A racing push has counted its entry but not yet landed it
-                // in a shard; yield and rescan (the window is a few
-                // instructions, but the pusher may be descheduled).
-                drop(gate);
-                std::thread::yield_now();
-                continue;
+            if let Some(entry) = state.pop() {
+                state.jobs -= entry.jobs;
+                if state.is_empty() {
+                    self.drained.notify_all();
+                }
+                return Some(entry.item);
             }
-            let _unused = self
+            if state.closed {
+                return None;
+            }
+            state = self
                 .available
-                .wait(gate)
-                .expect("scheduler gate never poisoned");
+                .wait(state)
+                .expect("scheduler lock never poisoned");
         }
     }
 
     /// Closes the scheduler: no new pushes are accepted; consumers drain what
     /// is left, then observe `None`.
     pub(crate) fn close(&self) {
-        self.gate().closed = true;
+        self.state().closed = true;
         self.available.notify_all();
     }
 
     /// Blocks until the queue is empty (in-flight work may still be running)
     /// or `deadline` passes; true when empty.
     pub(crate) fn wait_empty(&self, deadline: Instant) -> bool {
-        let mut gate = self.gate();
+        let mut state = self.state();
         loop {
-            if gate.entries == 0 {
+            if state.is_empty() {
                 return true;
             }
             let now = Instant::now();
             if now >= deadline {
                 return false;
             }
-            let (next, timeout) = self
-                .available
-                .wait_timeout(gate, deadline - now)
-                .expect("scheduler gate never poisoned");
-            gate = next;
-            if timeout.timed_out() && gate.entries > 0 {
-                return false;
-            }
+            state = self
+                .drained
+                .wait_timeout(state, deadline - now)
+                .expect("scheduler lock never poisoned")
+                .0;
         }
     }
 
@@ -376,23 +363,17 @@ impl<T> ShardedScheduler<T> {
     /// exit), and returns everything still queued so the caller can emit
     /// terminal events for it.
     pub(crate) fn abort(&self) -> Vec<T> {
-        {
-            let mut gate = self.gate();
-            gate.closed = true;
-            gate.aborted = true;
-            gate.entries = 0;
-            gate.jobs = 0;
-        }
-        let mut items = Vec::new();
-        for shard in &self.shards {
-            items.extend(
-                shard
-                    .lock()
-                    .expect("scheduler shard never poisoned")
-                    .drain(),
-            );
-        }
+        let mut state = self.state();
+        state.closed = true;
+        state.aborted = true;
+        state.jobs = 0;
+        let items = state
+            .classes
+            .iter_mut()
+            .flat_map(|class| class.drain(..).map(|entry| entry.item))
+            .collect();
         self.available.notify_all();
+        self.drained.notify_all();
         items
     }
 }
@@ -444,8 +425,7 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -457,21 +437,21 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_serves_higher_classes_first_fifo_within_class() {
-        let q: ShardedScheduler<u32> = ShardedScheduler::new(1);
+    fn serves_higher_classes_first_fifo_within_class() {
+        let q: Scheduler<u32> = Scheduler::new(None, None);
         q.push(1, Priority::Background, 1);
         q.push(2, Priority::Batch, 1);
         q.push(3, Priority::Interactive, 1);
         q.push(4, Priority::Interactive, 1);
         q.push(5, Priority::Batch, 1);
         q.close();
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop(0)).collect();
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![3, 4, 2, 5, 1]);
     }
 
     #[test]
     fn starvation_guard_bounds_background_wait() {
-        let q: ShardedScheduler<&'static str> = ShardedScheduler::new(1);
+        let q: Scheduler<&'static str> = Scheduler::new(None, None);
         q.push("bg", Priority::Background, 1);
         // A saturating interactive stream: the background item must still pop
         // within STARVATION_LIMIT + 1 pops.
@@ -480,7 +460,7 @@ mod tests {
         }
         let mut pops = 0;
         loop {
-            let item = q.pop(0).expect("queue is non-empty");
+            let item = q.pop().expect("queue is non-empty");
             pops += 1;
             if item == "bg" {
                 break;
@@ -497,55 +477,29 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced_at_job_granularity() {
-        let q: ShardedScheduler<u8> = ShardedScheduler::new(2);
-        assert_eq!(
-            q.try_push(0, Priority::Batch, 3, Some(4)),
-            PushOutcome::Pushed(3)
-        );
+        let q: Scheduler<u8> = Scheduler::new(Some(4), None);
+        assert_eq!(q.try_push(0, Priority::Batch, 3), PushOutcome::Pushed(3));
         // A 2-job batch would reach 5 > 4.
-        assert_eq!(
-            q.try_push(1, Priority::Batch, 2, Some(4)),
-            PushOutcome::Full(3)
-        );
-        assert_eq!(
-            q.try_push(2, Priority::Batch, 1, Some(4)),
-            PushOutcome::Pushed(4)
-        );
+        assert_eq!(q.try_push(1, Priority::Batch, 2), PushOutcome::Full(3));
+        assert_eq!(q.try_push(2, Priority::Batch, 1), PushOutcome::Pushed(4));
         assert_eq!(q.depth(), 4);
         assert_eq!(q.peak_depth(), 4);
-        assert!(q.pop(0).is_some());
+        assert!(q.pop().is_some());
         q.close();
-        assert_eq!(
-            q.try_push(3, Priority::Batch, 1, Some(4)),
-            PushOutcome::Closed
-        );
-    }
-
-    #[test]
-    fn workers_steal_across_shards() {
-        // Everything lands round-robin across 4 shards; a single worker must
-        // still see all of it.
-        let q: ShardedScheduler<u32> = ShardedScheduler::new(4);
-        for v in 0..16 {
-            q.push(v, Priority::Batch, 1);
-        }
-        q.close();
-        let mut got: Vec<u32> = std::iter::from_fn(|| q.pop(2)).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..16).collect::<Vec<_>>());
+        assert_eq!(q.try_push(3, Priority::Batch, 1), PushOutcome::Closed);
     }
 
     #[test]
     fn concurrent_consumers_drain_everything_exactly_once() {
-        let q: Arc<ShardedScheduler<u64>> = Arc::new(ShardedScheduler::new(4));
+        let q: Arc<Scheduler<u64>> = Arc::new(Scheduler::new(None, None));
         let sum = Arc::new(AtomicU64::new(0));
         let total = 500u64;
         std::thread::scope(|scope| {
-            for w in 0..4 {
+            for _ in 0..4 {
                 let q = q.clone();
                 let sum = sum.clone();
                 scope.spawn(move || {
-                    while let Some(v) = q.pop(w) {
+                    while let Some(v) = q.pop() {
                         sum.fetch_add(v, Ordering::Relaxed);
                     }
                 });
@@ -562,21 +516,21 @@ mod tests {
 
     #[test]
     fn abort_returns_the_leftovers_and_unblocks_pops() {
-        let q: ShardedScheduler<u32> = ShardedScheduler::new(2);
+        let q: Scheduler<u32> = Scheduler::new(None, None);
         for v in 0..6 {
             q.push(v, Priority::Batch, 1);
         }
-        assert!(q.pop(0).is_some());
+        assert!(q.pop().is_some());
         let mut left = q.abort();
         left.sort_unstable();
         assert_eq!(left.len(), 5);
-        assert_eq!(q.pop(0), None);
+        assert_eq!(q.pop(), None);
         assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn wait_empty_observes_drain_and_timeout() {
-        let q: Arc<ShardedScheduler<u32>> = Arc::new(ShardedScheduler::new(1));
+        let q: Arc<Scheduler<u32>> = Arc::new(Scheduler::new(None, None));
         q.push(1, Priority::Batch, 1);
         // Timeout path: nobody pops.
         assert!(!q.wait_empty(Instant::now() + Duration::from_millis(20)));
@@ -585,7 +539,7 @@ mod tests {
             let q2 = q.clone();
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(10));
-                assert!(q2.pop(0).is_some());
+                assert!(q2.pop().is_some());
             });
             assert!(q.wait_empty(Instant::now() + Duration::from_secs(5)));
         });
@@ -596,10 +550,10 @@ mod tests {
         let plan = crate::fault::FaultPlan::new(
             crate::fault::FaultConfig::default().with_probability(FaultSite::LockStall, 1.0),
         );
-        let q: ShardedScheduler<u32> = ShardedScheduler::new(1).with_faults(Arc::new(plan));
+        let q: Scheduler<u32> = Scheduler::new(None, None).with_faults(Arc::new(plan));
         q.push(1, Priority::Batch, 1);
         let started = Instant::now();
-        assert_eq!(q.pop(0), Some(1), "a stalled pop still serves its item");
+        assert_eq!(q.pop(), Some(1), "a stalled pop still serves its item");
         assert!(started.elapsed() >= LOCK_STALL);
     }
 

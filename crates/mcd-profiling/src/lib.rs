@@ -14,7 +14,7 @@
 //!    predict reference-input trees (Table 3).
 //! 4. **Application editing** ([`edit`]): which subroutines, loops and call
 //!    sites receive instrumentation, how big the run-time lookup tables are,
-//!    and a [`RuntimeTracker`](edit::RuntimeTracker) that emulates the inserted
+//!    and a [`RuntimeTracker`] that emulates the inserted
 //!    code during simulation, charging the overhead model of [`overhead`].
 //!
 //! The frequency values themselves are chosen by the `mcd-dvfs` crate (the

@@ -2,7 +2,7 @@
 //! caches.
 //!
 //! The caches are functional (hit/miss) models with true LRU replacement; their
-//! latencies come from [`CacheConfig`](crate::config::CacheConfig) and are
+//! latencies come from [`CacheConfig`] and are
 //! charged by the timing model in the clock domain that owns the cache (L1 I in
 //! the front end; L1 D and L2 in the memory domain).
 

@@ -3,7 +3,7 @@
 //!
 //! The generator walks the program structure under a given [`InputSet`]:
 //! blocks expand into instruction sequences drawn from their
-//! [`InstructionMix`](crate::mix::InstructionMix), loops iterate according to
+//! [`InstructionMix`], loops iterate according to
 //! their (input-scaled) trip counts, calls descend into callees, and
 //! input-dependent regions pick the branch matching the input kind. Structural
 //! markers (subroutine/loop entry and exit) are interleaved exactly where an

@@ -4,7 +4,7 @@
 //! benchmarks compiled for Alpha and traced with ATOM. Neither the binaries
 //! nor the toolchain are available as Rust, so this crate provides the
 //! substitute substrate (see DESIGN.md §2): each benchmark is modelled as a
-//! structural [`Program`](program::Program) — subroutines, loops, call sites,
+//! structural [`Program`] — subroutines, loops, call sites,
 //! and input-dependent regions — whose compute blocks carry instruction-mix
 //! descriptors ([`mix::InstructionMix`]). The [`generator`] expands a program
 //! under a training or reference [`input::InputSet`] into the dynamic

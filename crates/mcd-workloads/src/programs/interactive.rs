@@ -1,5 +1,5 @@
 //! Interactive-tier benchmarks: bursty duty-cycle programs composed with
-//! [`BurstProfile`](crate::server::BurstProfile).
+//! [`BurstProfile`].
 //!
 //! Three latency-constrained, SysScale-style mobile profiles: a photo editor
 //! applying FP filters on user actions, a sensor hub waking briefly out of

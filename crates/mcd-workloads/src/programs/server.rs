@@ -1,5 +1,5 @@
 //! Server-tier benchmarks: request-loop programs composed with
-//! [`ServerWorkload`](crate::server::ServerWorkload).
+//! [`ServerWorkload`].
 //!
 //! Three request-serving profiles beyond the paper's batch programs, in the
 //! spirit of the network-processor DVS studies (Yu et al.): a web front end

@@ -653,8 +653,7 @@ fn batched_lanes_match_serial_submission_bitwise() {
                     setpoint: 0.12 + 0.02 * i as f64,
                     ..PidConfig::default()
                 })
-                .with_global(true)
-                .with_zoo(true)
+                .with_schemes(mcd_dvfs::scheme::names::ALL)
         };
         let serial: Vec<_> = {
             let evaluator = Evaluator::builder().workers(1).build();
