@@ -46,7 +46,6 @@ use crate::artifact::key::ArtifactKey;
 use crate::error::McdError;
 use crate::fault::plan::LOCK_STALL;
 use crate::fault::{FaultPlan, FaultSite, RetryPolicy, RetryStats};
-use crate::histogram::RegionHistograms;
 use crate::offline::OfflineSchedule;
 use mcd_sim::freq::FrequencyGrid;
 use std::collections::HashMap;
@@ -711,29 +710,6 @@ impl ArtifactCache {
         }
     }
 
-    /// Looks up the per-window shaker histograms of an off-line analysis —
-    /// the slowdown-independent half of the pipeline. The grid must be the
-    /// machine's frequency grid (a mismatch decodes as an error).
-    pub fn load_window_histograms(
-        &self,
-        key: &ArtifactKey,
-        grid: &FrequencyGrid,
-    ) -> Option<Vec<Option<RegionHistograms>>> {
-        self.load_with(key, |bytes| codec::decode_window_histograms(bytes, grid))
-    }
-
-    /// Stores per-window shaker histograms under `key`.
-    pub fn store_window_histograms(
-        &self,
-        key: &ArtifactKey,
-        windows: &[Option<RegionHistograms>],
-        grid: &FrequencyGrid,
-    ) {
-        if self.is_enabled() {
-            self.store_raw(key, &codec::encode_window_histograms(windows, grid.len()));
-        }
-    }
-
     /// Looks up the per-region training histograms — the slowdown-independent
     /// half of profile training.
     pub fn load_training_histograms(
@@ -742,21 +718,6 @@ impl ArtifactCache {
         grid: &FrequencyGrid,
     ) -> Option<TrainingHistogramsArtifact> {
         self.load_with(key, |bytes| codec::decode_training_histograms(bytes, grid))
-    }
-
-    /// Stores per-region training histograms under `key`.
-    pub fn store_training_histograms(
-        &self,
-        key: &ArtifactKey,
-        artifact: &TrainingHistogramsArtifact,
-        grid: &FrequencyGrid,
-    ) {
-        if self.is_enabled() {
-            self.store_raw(
-                key,
-                &codec::encode_training_histograms(artifact, grid.len()),
-            );
-        }
     }
 
     /// Lists the artifact files currently in the cache directory, sorted by
@@ -870,6 +831,7 @@ mod tests {
     use super::*;
     use crate::artifact::key::offline_schedule_key;
     use crate::fault::FaultConfig;
+    use crate::histogram::RegionHistograms;
     use crate::offline::OfflineConfig;
     use mcd_sim::config::MachineConfig;
     use mcd_sim::reconfig::FrequencySetting;
@@ -984,12 +946,18 @@ mod tests {
             &MachineConfig::default(),
             &OfflineConfig::default(),
         );
-        let windows = vec![None, Some(crate::histogram::RegionHistograms::new(&grid))];
-        assert!(cache.load_window_histograms(&hist_key, &grid).is_none());
-        cache.store_window_histograms(&hist_key, &windows, &grid);
-        let loaded = cache
-            .load_window_histograms(&hist_key, &grid)
-            .expect("round trip");
+        let windows = vec![None, Some(RegionHistograms::new(&grid))];
+        let publish = |compute: &dyn Fn() -> Vec<Option<RegionHistograms>>| {
+            cache.publish(
+                &hist_key,
+                |bytes| codec::decode_window_histograms(bytes, &grid),
+                |windows| codec::encode_window_histograms(windows, grid.len()),
+                compute,
+            )
+        };
+        // A miss computes and stores; the next publication loads it back.
+        assert_eq!(publish(&|| windows.clone()).len(), 2);
+        let loaded = publish(&|| unreachable!("the stored histograms are a hit"));
         assert_eq!(loaded.len(), 2);
         assert!(loaded[0].is_none());
 
@@ -1223,7 +1191,14 @@ mod tests {
             &OfflineConfig::default(),
         );
         fs::write(cache.path_of(&hist_key).unwrap(), b"garbage").unwrap();
-        assert!(cache.load_window_histograms(&hist_key, &grid).is_none());
+        // (The publication ladder recomputes it and overwrites the garbage.)
+        let recomputed = cache.publish(
+            &hist_key,
+            |bytes| codec::decode_window_histograms(bytes, &grid),
+            |windows| codec::encode_window_histograms(windows, grid.len()),
+            Vec::new,
+        );
+        assert!(recomputed.is_empty());
         // ... and a lock wait: a second thread blocks on a held lock.
         let guard = cache.lock_publication(&key).expect("uncontended lock");
         std::thread::scope(|scope| {
@@ -1238,7 +1213,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!(
             (s.hits, s.misses, s.writes, s.errors, s.lock_waits),
-            (1, 2, 1, 1, 1)
+            (1, 2, 2, 1, 1)
         );
         let kinds = cache.kind_stats_all();
         assert_eq!(kinds.len(), 2);

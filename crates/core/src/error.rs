@@ -2,7 +2,7 @@
 //!
 //! Library internals keep using panics for genuine invariant violations, but
 //! everything a binary or example can trigger from the command line — unknown
-//! benchmark names, mis-wired scheme registries, invalid machine
+//! benchmark or scheme names, invalid slowdown targets or machine
 //! configurations — surfaces as an [`McdError`] instead.
 
 use crate::fault::FaultSite;
@@ -15,7 +15,8 @@ use std::process::ExitCode;
 pub enum McdError {
     /// A benchmark name did not match any suite entry.
     UnknownBenchmark(String),
-    /// A scheme name did not match any registry entry.
+    /// A scheme name did not match any entry of
+    /// [`names::ALL`](crate::scheme::names::ALL).
     UnknownScheme(String),
     /// A scheme was looked up in an evaluation it was not part of (for
     /// example `global` when `EvaluationConfig::include_global` was false).
@@ -76,13 +77,15 @@ impl fmt::Display for McdError {
             McdError::UnknownScheme(name) => write!(f, "unknown scheme `{name}`"),
             McdError::SchemeNotEvaluated(name) => write!(
                 f,
-                "scheme `{name}` was not part of this evaluation (for `global`, set \
-                 `EvaluationConfig::include_global`; otherwise add it to the registry)"
+                "scheme `{name}` was not part of this evaluation (name it with \
+                 `EvalJob::with_schemes`, or set `EvaluationConfig::include_global` / \
+                 `include_zoo`)"
             ),
             McdError::MissingDependency { scheme, requires } => write!(
                 f,
-                "scheme `{scheme}` requires the result of `{requires}`, which has not run; \
-                 order the registry so `{requires}` comes first"
+                "scheme `{scheme}` requires the result of `{requires}`, which has not run \
+                 (a job that names `{scheme}` with `EvalJob::with_schemes` must also name \
+                 the schemes it reads)"
             ),
             McdError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             McdError::Rejected(reason) => write!(f, "submission rejected: {reason}"),

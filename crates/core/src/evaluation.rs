@@ -5,12 +5,16 @@
 //! machine, synchronization penalties included, with every domain at full
 //! speed, running the reference input.
 //!
-//! The pipeline is scheme-agnostic: it drives a registry of
-//! [`DvfsScheme`](crate::scheme::DvfsScheme) trait objects (see
-//! [`crate::scheme`]) and records one [`SchemeOutcome`] per registry entry.
+//! The pipeline is scheme-agnostic: it drives the
+//! [`DvfsScheme`](crate::scheme::DvfsScheme) trait objects a job selects
+//! from the [`SCHEMES`](crate::scheme::SCHEMES) table — the paper's three,
+//! plus the controller zoo under [`EvaluationConfig::include_zoo`] and
+//! global DVS under [`EvaluationConfig::include_global`], or the schemes a
+//! job names — and records one [`SchemeOutcome`] per selected scheme.
 //! Nothing here knows which schemes exist — adding a scheme to the
-//! comparison means implementing the trait and extending the registry, not
-//! editing this module.
+//! comparison means a unit struct in the table, not editing this module.
+//! Every scheme reads its parameters from the job's effective
+//! [`EvaluationConfig`] when it prepares.
 //!
 //! Evaluations run through the job-oriented
 //! [`Evaluator`](crate::service::Evaluator) service ([`crate::service`]):
@@ -83,9 +87,9 @@ pub struct EvaluationConfig {
     /// for how the budget is split).
     /// Results are bit-identical for every value.
     pub parallelism: usize,
-    /// Artifact cache shared by every scheme the registry configures: the
-    /// off-line oracle reuses cached schedules and the profile scheme reuses
-    /// cached training results instead of re-training. Defaults to a disabled
+    /// Artifact cache shared by every scheme: the off-line oracle reuses
+    /// cached schedules and the profile scheme reuses cached training
+    /// results instead of re-training. Defaults to a disabled
     /// cache (always recompute, no filesystem side effects); see
     /// [`ArtifactCache::from_env`] for the environment-driven constructor the
     /// figure binaries use.
@@ -144,7 +148,7 @@ impl EvaluationConfig {
         self
     }
 
-    /// Sets the shared artifact cache every configured scheme consults.
+    /// Sets the shared artifact cache every scheme consults.
     pub fn with_cache(mut self, cache: Arc<ArtifactCache>) -> Self {
         self.cache = cache;
         self
@@ -153,14 +157,14 @@ impl EvaluationConfig {
 
 /// The complete evaluation of one benchmark (one group of bars in Figures
 /// 4–6, plus the global-DVS point of Figure 7): the baseline plus one outcome
-/// per registered scheme, in registry order.
+/// per selected scheme, in [`SCHEMES`](crate::scheme::SCHEMES) order.
 #[derive(Debug, Clone)]
 pub struct BenchmarkEvaluation {
     /// Benchmark name.
     pub name: String,
     /// Full-speed MCD baseline statistics on the reference input.
     pub baseline: SimStats,
-    /// One outcome per scheme, in the order the registry ran them.
+    /// One outcome per scheme, in the order the evaluation ran them.
     pub schemes: Vec<SchemeOutcome>,
 }
 

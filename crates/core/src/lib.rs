@@ -26,7 +26,8 @@
 //!   artifacts (compared against the paper's schemes by the `tournament`
 //!   harness in `mcd-bench`);
 //! * [`scheme`] — the [`DvfsScheme`] trait unifying every control scheme
-//!   behind one `prepare` method, plus the standard registry;
+//!   behind one `prepare` method, the table of all of them
+//!   ([`scheme::SCHEMES`]) and the per-job selection over it;
 //! * [`evaluation`] — the configuration and result types of a comparison,
 //!   producing the paper's metrics (performance degradation, energy savings,
 //!   energy·delay improvement);
@@ -68,7 +69,6 @@ pub mod histogram;
 pub mod learned;
 pub mod offline;
 pub mod online;
-mod parallel;
 pub mod pid;
 pub mod pipeline;
 pub mod profile;
@@ -90,9 +90,8 @@ pub use pid::{PidConfig, PidController};
 pub use pipeline::AnalysisPipeline;
 pub use profile::{train, train_and_run, ProfileHooks, ProfilePlan, TrainingConfig};
 pub use scheme::{
-    configured_registry, full_registry, subset_registry, DvfsScheme, GlobalDvsScheme, Lane,
-    LearnedScheme, OfflineScheme, OnlineScheme, PidScheme, Pools, Prepared, ProfileScheme,
-    SchemeContext, SchemeOutcome, SysScaleScheme,
+    DvfsScheme, GlobalDvsScheme, Lane, LearnedScheme, OfflineScheme, OnlineScheme, PidScheme,
+    Pools, Prepared, ProfileScheme, SchemeContext, SchemeOutcome, SysScaleScheme,
 };
 pub use service::{
     EvalEvent, EvalJob, Evaluator, EvaluatorBuilder, JobId, MemoStats, ResultStream,

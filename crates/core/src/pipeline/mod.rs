@@ -19,9 +19,10 @@
 //!    and replay the trace applying each window's setting at its boundary,
 //!    on the same simulator that performed the capture.
 //!
-//! The batch equivalents ([`capture::capture`], [`window::slice_windows`],
-//! [`window::analyze_windows`]) remain for callers that already hold a
-//! recorded [`EventTrace`](mcd_sim::events::EventTrace).
+//! Stage 1 can also run whole: [`capture::capture`] records the full
+//! [`EventTrace`](mcd_sim::events::EventTrace) and [`window::slice_windows`]
+//! cuts it into per-window slices, which lets a profiler time capture, DAG
+//! build and shaking as separate stages.
 //!
 //! [`AnalysisPipeline`] composes the stages; [`run_offline`](crate::offline::run_offline)
 //! is a thin serial wrapper around it. Stage outputs are plain values, which is

@@ -8,13 +8,13 @@
 //! reused for every window (arena reuse); with `parallelism > 1` closed
 //! windows flow through a bounded channel to scoped worker threads, so
 //! analysis overlaps capture and at most a few windows are ever resident.
-//! Either way the per-window settings are bit-identical to the legacy
-//! capture-then-slice path.
+//! Either way the per-window settings are bit-identical for every thread
+//! budget.
 //!
-//! The legacy batch stages remain for callers that already hold a recorded
-//! trace: [`slice_windows`] partitions a [`CapturedTrace`] in one pass over
-//! events and edges, and [`analyze_windows`] fans a [`WindowPlan`] out across
-//! workers.
+//! For a trace that was captured whole ([`capture`](crate::pipeline::capture)),
+//! [`slice_windows`] partitions the [`CapturedTrace`] into a [`WindowPlan`]
+//! in one pass over events and edges, so each window can be analysed as a
+//! separate stage.
 
 use crate::dag::DependenceDag;
 use crate::histogram::RegionHistograms;
@@ -288,24 +288,6 @@ pub(crate) fn threshold_one(
     }
 }
 
-/// Runs stage 3 over every window of `plan`, spreading windows across up to
-/// `parallelism` scoped worker threads.
-///
-/// Each window's analysis is a pure function of its slice, so the returned
-/// settings are bit-identical for every worker count; only wall-clock time
-/// changes.
-pub fn analyze_windows(
-    plan: &WindowPlan,
-    machine: &MachineConfig,
-    shaker: &Shaker,
-    chooser: &SlowdownThreshold,
-    parallelism: usize,
-) -> Vec<FrequencySetting> {
-    crate::parallel::parallel_map(plan.slices.len(), parallelism, |i| {
-        analyze_one(&plan.slices[i], machine, shaker, chooser)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,19 +348,5 @@ mod tests {
         let plan = slice_windows(&cap, 0);
         assert_eq!(plan.window_instructions, 1);
         assert_eq!(plan.len() as u64, cap.stats.instructions);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_the_analysis() {
-        let cap = captured();
-        let plan = slice_windows(&cap, 10_000);
-        let machine = MachineConfig::default();
-        let shaker = Shaker::new();
-        let chooser = SlowdownThreshold::new(0.07);
-        let serial = analyze_windows(&plan, &machine, &shaker, &chooser, 1);
-        for workers in [2, 5] {
-            let parallel = analyze_windows(&plan, &machine, &shaker, &chooser, workers);
-            assert_eq!(serial, parallel);
-        }
     }
 }

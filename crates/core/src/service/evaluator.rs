@@ -4,7 +4,7 @@ use crate::artifact::codec;
 use crate::error::McdError;
 use crate::evaluation::{BenchmarkEvaluation, EvaluationConfig, SchemeResult};
 use crate::fault::{FaultPlan, FaultSite, InjectedPanic};
-use crate::scheme::{names, DvfsScheme, Pools, Prepared, SchemeContext, SchemeOutcome};
+use crate::scheme::{self, names, DvfsScheme, Pools, Prepared, SchemeContext, SchemeOutcome};
 use crate::service::job::{EvalBatch, EvalJob, JobId};
 use crate::service::scheduler::{AdmissionStats, PushOutcome, Scheduler, TokenBucket};
 use crate::service::stream::{EvalEvent, ResultStream};
@@ -732,15 +732,17 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// One member of a batch while the batch is being processed: its registry,
-/// the schemes it prepared whose outcomes await the next pass, the outcomes
-/// recorded so far (in registry order), and whether it has already failed.
+/// One member of a batch while the batch is being processed: its effective
+/// configuration and selected schemes, the schemes it prepared whose
+/// outcomes await the next pass, the outcomes recorded so far (in
+/// [`names::ALL`] order), and whether it has already failed.
 struct BatchMember<'a> {
     id: JobId,
     benchmark_name: String,
     events: mpsc::Sender<EvalEvent>,
     job: EvalJob,
-    registry: Vec<Box<dyn DvfsScheme>>,
+    config: EvaluationConfig,
+    schemes: Vec<&'static dyn DvfsScheme>,
     pending: Vec<PendingOutcome>,
     outcomes: Vec<SchemeOutcome>,
     failed: bool,
@@ -752,7 +754,7 @@ struct BatchMember<'a> {
 /// A prepared scheme whose outcome is recorded at the group's next flush:
 /// a lane of that flush's pass, or statistics the scheme produced itself.
 struct PendingOutcome {
-    /// The scheme's position in the full registry.
+    /// The scheme's position in [`names::ALL`].
     rank: usize,
     name: &'static str,
     label: String,
@@ -781,12 +783,12 @@ impl BatchMember<'_> {
 }
 
 /// Runs one group end to end on this worker — the evaluator's only
-/// executor; a lone job is a group of one. Validates every member's
-/// registry (a member whose registry is invalid fails before any baseline
-/// work), then hands the rest to [`execute`]. The injected worker panic is
-/// drawn here, once per member, under its own `catch_unwind`: the panicking
-/// member fails with [`McdError::Fault`] and the batch carries on without
-/// it. `sent` are the per-member terminal markers (parallel to `queued`) the
+/// executor; a lone job is a group of one. Selects every member's schemes
+/// (a member whose configuration or scheme subset is invalid fails before
+/// any baseline work), then hands the rest to [`execute`]. The injected
+/// worker panic is drawn here, once per member, under its own
+/// `catch_unwind`: the panicking member fails with [`McdError::Fault`] and
+/// the batch carries on without it. `sent` are the per-member terminal markers (parallel to `queued`) the
 /// worker's panic backstop reads.
 fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, sent: &[Cell<bool>]) {
     shared.batch_groups.fetch_add(1, Ordering::Relaxed);
@@ -803,26 +805,27 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, sent: &[Cell<bool>]) {
     ) in queued.into_iter().zip(sent)
     {
         let config = job.effective_config(&shared.config, shared.window_parallelism);
-        let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let selected = std::panic::catch_unwind(AssertUnwindSafe(|| {
             if shared.faults.should(FaultSite::WorkerPanic) {
                 std::panic::panic_any(InjectedPanic);
             }
-            job.build_registry(&config)
+            scheme::select(&config, job.schemes.as_deref())
         }));
         let mut member = BatchMember {
             id,
             benchmark_name: job.benchmark().name.to_string(),
             events,
             job,
-            registry: Vec::new(),
+            config,
+            schemes: Vec::new(),
             pending: Vec::new(),
             outcomes: Vec::new(),
             failed: false,
             terminal_sent,
         };
-        match built {
-            Ok(Ok(registry)) => {
-                member.registry = registry;
+        match selected {
+            Ok(Ok(schemes)) => {
+                member.schemes = schemes;
                 members.push(member);
             }
             Ok(Err(error)) => member.fail(error),
@@ -837,17 +840,17 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, sent: &[Cell<bool>]) {
 /// Evaluates validated members in one fused replay of their reference
 /// trace.
 ///
-/// Every member prepares its schemes in full-registry order (scheme by
+/// Every member prepares its schemes in [`names::ALL`] order (scheme by
 /// scheme across the members, so the batch's [`Pools`] serve each shared
 /// capture and training input once), and each prepared lane joins a single
 /// [`Simulator::run_lanes`] pass together with the full-speed baseline lane
 /// when the memo holds no baseline yet. A scheme that
 /// [reads prior outcomes](DvfsScheme::reads_prior_outcomes) flushes the
 /// pass first and is prepared with the baseline and the member's recorded
-/// outcomes; the end of the registry flushes whatever is left.
+/// outcomes; the end of the table flushes whatever is left.
 ///
 /// Per member the events are `BaselineReady` (after the first pass), then
-/// one `SchemeFinished` per scheme in registry order, all of a pass's
+/// one `SchemeFinished` per scheme in [`names::ALL`] order, all of a pass's
 /// arriving together after it, then `JobCompleted`. A member whose
 /// `prepare` fails emits `JobFailed` at once and drops out, its queued lanes
 /// unrun; the other members' lanes and outcomes are unaffected.
@@ -864,7 +867,7 @@ fn execute(shared: &Shared, mut members: Vec<BatchMember<'_>>) {
     for (rank, &name) in names::ALL.iter().enumerate() {
         let reads_prior = members.iter().any(|m| {
             !m.failed
-                && m.registry
+                && m.schemes
                     .iter()
                     .any(|s| s.name() == name && s.reads_prior_outcomes())
         });
@@ -872,18 +875,18 @@ fn execute(shared: &Shared, mut members: Vec<BatchMember<'_>>) {
             group.flush(shared, &mut members);
         }
         for member in members.iter_mut().filter(|m| !m.failed) {
-            let Some(scheme) = member.registry.iter().find(|s| s.name() == name) else {
+            let Some(&scheme) = member.schemes.iter().find(|s| s.name() == name) else {
                 continue;
             };
             let reads = scheme.reads_prior_outcomes();
             let ctx = SchemeContext {
                 benchmark: member.job.benchmark(),
-                machine: group.simulator.config(),
+                config: &member.config,
                 reference_trace: &group.artifacts.trace,
                 baseline: group.artifacts.baseline.get().filter(|_| reads),
                 prior: if reads { &member.outcomes } else { &[] },
             };
-            let label = scheme.label();
+            let label = scheme.label(&member.config);
             match scheme.prepare(&ctx, &mut pools) {
                 Ok(prepared) => member.pending.push(PendingOutcome {
                     rank,
@@ -929,7 +932,7 @@ struct FusedGroup {
 impl FusedGroup {
     /// Runs every lane the live members queued — plus the baseline lane
     /// while the memo holds no baseline — in one pass, then records each live
-    /// member's pending outcomes in registry order. A failed member's
+    /// member's pending outcomes in [`names::ALL`] order. A failed member's
     /// pending lanes are dropped unrun: a job sends nothing after its
     /// `JobFailed`. The first flush also sends each live member its
     /// `BaselineReady`. A flush with nothing to run records without a pass;
@@ -1239,15 +1242,15 @@ mod tests {
         let mut members = Vec::new();
         for (i, terminal_sent) in sent.iter().enumerate() {
             let job = healthy();
-            let mut registry = job
-                .build_registry(&job.effective_config(&shared.config, 1))
-                .expect("valid registry");
+            let config = job.effective_config(&shared.config, 1);
+            let mut schemes =
+                scheme::select(&config, job.schemes.as_deref()).expect("valid selection");
             if i == 0 {
-                let profile = registry
+                let profile = schemes
                     .iter()
                     .position(|s| s.name() == names::PROFILE)
-                    .expect("profile is registered");
-                registry[profile] = Box::new(FailingProfile);
+                    .expect("profile is selected");
+                schemes[profile] = &FailingProfile;
             }
             let (events, rx) = mpsc::channel();
             receivers.push(rx);
@@ -1256,7 +1259,8 @@ mod tests {
                 benchmark_name: bench.name.to_string(),
                 events,
                 job,
-                registry,
+                config,
+                schemes,
                 pending: Vec::new(),
                 outcomes: Vec::new(),
                 failed: false,

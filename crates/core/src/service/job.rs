@@ -4,7 +4,6 @@ use crate::error::McdError;
 use crate::evaluation::EvaluationConfig;
 use crate::online::OnlineConfig;
 use crate::pid::PidConfig;
-use crate::scheme::{configured_registry, subset_registry, DvfsScheme};
 use crate::service::scheduler::Priority;
 use mcd_profiling::context::ContextPolicy;
 use mcd_workloads::suite::Benchmark;
@@ -25,8 +24,8 @@ impl std::fmt::Display for JobId {
 /// One unit of evaluation work: a benchmark plus optional overrides of the
 /// evaluator's base configuration.
 ///
-/// A job without overrides evaluates the standard registry exactly as the
-/// base [`EvaluationConfig`] describes. Overrides change the slowdown target,
+/// A job without overrides evaluates the schemes the base
+/// [`EvaluationConfig`] selects, exactly as it describes them. Overrides change the slowdown target,
 /// the calling-context policy, the on-line controller tuning, or restrict the
 /// run to a subset of schemes — everything the paper's sweeps vary — while
 /// the machine model stays fixed per evaluator, which is what lets jobs share
@@ -105,10 +104,10 @@ impl EvalJob {
         self
     }
 
-    /// Restricts the job to the named schemes (full-registry order is
-    /// preserved; see [`subset_registry`] for the `global` caveats). Naming
-    /// `global` or a controller-zoo scheme adds it to the comparison even
-    /// when the base config leaves it out.
+    /// Restricts the job to the named schemes ([`SCHEMES`](crate::scheme::SCHEMES)
+    /// order is preserved; see [`select`](crate::scheme::select) for the
+    /// `global` caveats). Naming `global` or a controller-zoo scheme adds it
+    /// to the comparison even when the base config leaves it out.
     pub fn with_schemes<I, S>(mut self, schemes: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -141,36 +140,6 @@ impl EvalJob {
             config.pid = pid;
         }
         config
-    }
-
-    /// Builds the configured registry this job runs: the standard registry,
-    /// or the requested subset of it. A slowdown target that is not a finite
-    /// fraction in `[0, 1)`, or a zero off-line window, is an
-    /// [`McdError::InvalidConfig`].
-    pub(crate) fn build_registry(
-        &self,
-        config: &EvaluationConfig,
-    ) -> Result<Vec<Box<dyn DvfsScheme>>, McdError> {
-        for slowdown in [
-            config.offline.slowdown,
-            config.training.slowdown,
-            config.learned.slowdown,
-        ] {
-            if !(0.0..1.0).contains(&slowdown) {
-                return Err(McdError::InvalidConfig(format!(
-                    "slowdown target {slowdown} is not a fraction in [0, 1)"
-                )));
-            }
-        }
-        if config.offline.window_instructions == 0 {
-            return Err(McdError::InvalidConfig(
-                "off-line window_instructions must be at least 1".to_string(),
-            ));
-        }
-        match &self.schemes {
-            Some(subset) => subset_registry(config, subset),
-            None => configured_registry(config),
-        }
     }
 
     /// Groups several jobs over the *same* benchmark into an [`EvalBatch`]
@@ -246,7 +215,7 @@ impl EvalBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::names;
+    use crate::scheme::{names, select};
     use mcd_workloads::suite;
 
     #[test]
@@ -264,8 +233,8 @@ mod tests {
         assert_eq!(config.parallelism, 3);
         // Naming `global` adds it without the base config's include flag.
         assert!(!config.include_global);
-        let registry = job.build_registry(&config).expect("known schemes");
-        let picked: Vec<&str> = registry.iter().map(|s| s.name()).collect();
+        let schemes = select(&config, job.schemes.as_deref()).expect("known schemes");
+        let picked: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
         assert_eq!(picked, [names::OFFLINE, names::GLOBAL]);
     }
 
@@ -321,8 +290,8 @@ mod tests {
         let base = EvaluationConfig::default();
         let job = EvalJob::new(bench).with_schemes([crate::scheme::names::ONLINE]);
         let config = job.effective_config(&base, 1);
-        let registry = job.build_registry(&config).expect("known scheme subset");
-        assert_eq!(registry.len(), 1);
-        assert_eq!(registry[0].name(), crate::scheme::names::ONLINE);
+        let schemes = select(&config, job.schemes.as_deref()).expect("known scheme subset");
+        assert_eq!(schemes.len(), 1);
+        assert_eq!(schemes[0].name(), crate::scheme::names::ONLINE);
     }
 }

@@ -28,8 +28,11 @@
 //! * **One executor, one pass**: every submission runs as a batch — an
 //!   [`Evaluator::submit_batch`] group is one, and each job of
 //!   [`Evaluator::submit_all`] is a batch of one. A worker takes a whole
-//!   batch, asks every member's schemes to
-//!   [`prepare`](crate::scheme::DvfsScheme::prepare) their controllers
+//!   batch, selects every member's schemes ([`scheme::select`](crate::scheme::select):
+//!   the paper's three plus the include flags' extras, or the job's named
+//!   subset) and asks each to
+//!   [`prepare`](crate::scheme::DvfsScheme::prepare) its controller from the
+//!   member's effective configuration
 //!   (sharing capture and training work through the batch's
 //!   [`Pools`](crate::scheme::Pools)), and replays the reference trace
 //!   *once* for the whole group: one lane per member per scheme, plus the
@@ -59,8 +62,8 @@
 //! * [`EvalEvent::BaselineReady`] — the job's baseline exists: sent after
 //!   the group's simulation pass, which computes it as a lane unless the
 //!   memo already held it (`memo_hit` says whether another job paid for it).
-//! * [`EvalEvent::SchemeFinished`] — one per scheme in the job's registry, in
-//!   registry order, each carrying the scheme's
+//! * [`EvalEvent::SchemeFinished`] — one per scheme the job selected, in
+//!   [`SCHEMES`](crate::scheme::SCHEMES) order, each carrying the scheme's
 //!   [`SchemeOutcome`](crate::scheme::SchemeOutcome). The schemes replayed
 //!   in the group's pass finish together: their events arrive in a burst
 //!   right after `BaselineReady`; a scheme that reads earlier outcomes
@@ -69,7 +72,7 @@
 //!   completed job carries the full
 //!   [`BenchmarkEvaluation`](crate::evaluation::BenchmarkEvaluation). A failed
 //!   job never poisons the rest of its batch. A job rejected at
-//!   registry-construction time (an unknown scheme name, or a slowdown
+//!   scheme-selection time (an unknown scheme name, or a slowdown
 //!   target outside `[0, 1)` — [`McdError::InvalidConfig`](crate::McdError))
 //!   fails straight from `JobStarted`, before any baseline work. So does a
 //!   job whose scheme fails to prepare before the pass: its lanes are

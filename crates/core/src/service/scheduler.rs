@@ -12,7 +12,9 @@
 //!   served next regardless — background work makes progress under any
 //!   interactive load. The same lock owns admission: the capacity bound, the
 //!   rate limiter and the [`AdmissionStats`] counters, so an admission
-//!   decision and the insertion it allows are one atomic step.
+//!   decision and the insertion it allows are one atomic step. Capacity is
+//!   checked first and only a submission that fits spends rate-limiter
+//!   tokens: when both limits would refuse it, the reason is queue-full.
 //! * [`TokenBucket`] — the admission front-end's rate limiter: a classic
 //!   token bucket (capacity = burst, steady refill), driven by explicit
 //!   timestamps so admission decisions are unit-testable without sleeping.
@@ -242,9 +244,10 @@ impl<T> Scheduler<T> {
     }
 
     /// Enqueues one entry of weight `jobs` under `priority`. A `checked`
-    /// entry passes admission first: the rate limiter is charged `jobs`
-    /// tokens and the depth may not exceed the capacity; the admission
-    /// counters record the verdict. An unchecked entry skips both. Entries
+    /// entry passes admission first: the depth may not exceed the capacity,
+    /// and only an entry that fits is charged `jobs` rate-limiter tokens, so
+    /// an entry both limits would refuse is `Full` and spends no tokens; the
+    /// admission counters record the verdict. An unchecked entry skips both. Entries
     /// arriving after [`close`](Scheduler::close) are refused either way.
     ///
     /// `decided` sees the item and the outcome under the lock, before the
@@ -264,6 +267,9 @@ impl<T> Scheduler<T> {
             PushOutcome::Closed
         } else if !checked {
             PushOutcome::Pushed(state.jobs + jobs)
+        } else if self.capacity.is_some_and(|cap| state.jobs + jobs > cap) {
+            state.admission.rejected_queue_full += jobs as u64;
+            PushOutcome::Full(state.jobs)
         } else if let Some(false) = state
             .rate
             .as_mut()
@@ -271,9 +277,6 @@ impl<T> Scheduler<T> {
         {
             state.admission.rejected_rate_limited += jobs as u64;
             PushOutcome::RateLimited
-        } else if self.capacity.is_some_and(|cap| state.jobs + jobs > cap) {
-            state.admission.rejected_queue_full += jobs as u64;
-            PushOutcome::Full(state.jobs)
         } else {
             state.admission.accepted += jobs as u64;
             PushOutcome::Pushed(state.jobs + jobs)
@@ -487,6 +490,31 @@ mod tests {
         assert!(q.pop().is_some());
         q.close();
         assert_eq!(q.try_push(3, Priority::Batch, 1), PushOutcome::Closed);
+    }
+
+    #[test]
+    fn a_queue_full_rejection_spends_no_rate_budget() {
+        // A near-zero refill: the burst of two tokens is all there is.
+        let rate = TokenBucket::new(1e-9, 2.0, Instant::now());
+        let q: Scheduler<u8> = Scheduler::new(Some(1), Some(rate));
+        assert_eq!(q.try_push(0, Priority::Batch, 1), PushOutcome::Pushed(1));
+        // Both limits would refuse this one; the queue bound says why.
+        assert_eq!(q.try_push(1, Priority::Batch, 1), PushOutcome::Full(1));
+        assert_eq!(q.pop(), Some(0));
+        // The rejected push left its token for this one.
+        assert_eq!(q.try_push(2, Priority::Batch, 1), PushOutcome::Pushed(1));
+        assert_eq!(q.try_push(3, Priority::Batch, 1), PushOutcome::Full(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.try_push(4, Priority::Batch, 1), PushOutcome::RateLimited);
+        let stats = q.admission_stats();
+        assert_eq!(
+            (
+                stats.accepted,
+                stats.rejected_queue_full,
+                stats.rejected_rate_limited
+            ),
+            (2, 2, 1)
+        );
     }
 
     #[test]

@@ -13,14 +13,14 @@ use std::time::Duration;
 ///
 /// Per job the order is always `JobQueued` → `JobStarted` → `BaselineReady`
 /// → zero or more `SchemeFinished` → exactly one of `JobCompleted` /
-/// `JobFailed` (a job whose registry is invalid — e.g. an unknown scheme
-/// name — or whose scheme fails to prepare before the group's simulation
+/// `JobFailed` (a job whose scheme selection is invalid — e.g. an unknown
+/// scheme name — or whose scheme fails to prepare before the group's simulation
 /// pass fails fast, jumping from `JobStarted` straight to `JobFailed`). A
 /// job turned away by admission control emits a single terminal
 /// `JobRejected` instead. A job's group replays the reference trace once
 /// for all of its members' schemes, so `BaselineReady` and the
 /// `SchemeFinished` events of that pass arrive together after it, still in
-/// registry order; a scheme prepared after the pass (global DVS) follows.
+/// [`SCHEMES`](crate::scheme::SCHEMES) order; a scheme prepared after the pass (global DVS) follows.
 /// Events of *different* jobs interleave arbitrarily — that interleaving is
 /// the point: a caller watching the stream sees each job's results as soon
 /// as its group's pass is done instead of waiting for the whole
@@ -76,7 +76,7 @@ pub enum EvalEvent {
         /// batch computed it in the shared pass.
         memo_hit: bool,
     },
-    /// One scheme of the job's registry finished.
+    /// One of the job's schemes finished.
     SchemeFinished {
         /// The job's identity.
         job: JobId,

@@ -355,19 +355,9 @@ impl Simulator {
         }
     }
 
-    /// Creates a simulator with an explicit power model.
-    pub fn with_power_model(config: MachineConfig, power: PowerModel) -> Self {
-        Simulator { config, power }
-    }
-
     /// The machine configuration of this simulator.
     pub fn config(&self) -> &MachineConfig {
         &self.config
-    }
-
-    /// The power model of this simulator.
-    pub fn power_model(&self) -> &PowerModel {
-        &self.power
     }
 
     /// Runs the given trace under `hooks`. When `record_events` is true, the

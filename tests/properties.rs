@@ -665,7 +665,7 @@ fn batched_lanes_match_serial_submission_bitwise() {
         };
         // Registry coverage: the property exercises exactly the full registry
         // (global DVS and the zoo included) minus the documented exemptions.
-        let expected: Vec<String> = mcd_dvfs::scheme::full_registry(true, true)
+        let expected: Vec<String> = mcd_dvfs::scheme::SCHEMES
             .iter()
             .map(|s| s.name().to_string())
             .filter(|n| !EXEMPT.contains(&n.as_str()))
@@ -730,7 +730,7 @@ fn batched_lanes_match_serial_submission_bitwise() {
 #[test]
 fn fused_outcomes_match_plain_runs_of_the_same_prepared_lanes() {
     use mcd_dvfs::evaluation::{EvaluationConfig, SchemeResult};
-    use mcd_dvfs::scheme::{configured_registry, Pools, Prepared, SchemeContext, SchemeOutcome};
+    use mcd_dvfs::scheme::{select, Pools, Prepared, SchemeContext, SchemeOutcome};
     use mcd_dvfs::service::{EvalJob, Evaluator};
 
     let config = EvaluationConfig {
@@ -761,11 +761,11 @@ fn fused_outcomes_match_plain_runs_of_the_same_prepared_lanes() {
 
         let mut pools = Pools::default();
         let mut reference: Vec<SchemeOutcome> = Vec::new();
-        for scheme in configured_registry(&config).expect("registry configures") {
+        for scheme in select(&config, None).expect("registry configures") {
             let reads = scheme.reads_prior_outcomes();
             let ctx = SchemeContext {
                 benchmark: &bench,
-                machine: &config.machine,
+                config: &config,
                 reference_trace: &trace,
                 baseline: reads.then_some(&baseline),
                 prior: if reads { &reference } else { &[] },
@@ -780,7 +780,7 @@ fn fused_outcomes_match_plain_runs_of_the_same_prepared_lanes() {
             };
             reference.push(SchemeOutcome {
                 name: scheme.name().to_string(),
-                label: scheme.label(),
+                label: scheme.label(&config),
                 result: SchemeResult::new(stats, &baseline),
             });
         }

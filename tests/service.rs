@@ -5,8 +5,11 @@
 
 use mcd_dvfs::error::McdError;
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig};
+use mcd_dvfs::online::OnlineConfig;
+use mcd_dvfs::pid::PidConfig;
 use mcd_dvfs::scheme::names;
 use mcd_dvfs::service::{EvalEvent, EvalJob, Evaluator, JobId};
+use mcd_profiling::context::ContextPolicy;
 use mcd_workloads::suite;
 use mcd_workloads::suite::Benchmark;
 
@@ -157,6 +160,68 @@ fn different_slowdowns_on_one_benchmark_share_one_baseline() {
     );
     let memo = evaluator.memo_stats();
     assert_eq!((memo.misses, memo.hits), (2, 1));
+}
+
+/// Each per-job override reaches exactly the schemes that read it: beside an
+/// unmodified job, one job per override evaluates every scheme on one short
+/// benchmark, and only the reading schemes' labels or statistics (compared
+/// whole, through their `Debug` text) differ from the unmodified job's.
+#[test]
+fn each_override_changes_only_the_schemes_that_read_it() {
+    let bench = suite::benchmark("adpcm decode").expect("known benchmark");
+    let job = || EvalJob::new(bench.clone()).with_schemes(names::ALL);
+    let jobs = vec![
+        job(),
+        job().with_online(OnlineConfig {
+            decay_mhz: 20.0,
+            ..OnlineConfig::default()
+        }),
+        job().with_pid(PidConfig {
+            setpoint: 0.35,
+            ..PidConfig::default()
+        }),
+        job().with_policy(ContextPolicy::Func),
+        job().with_slowdown(0.14),
+    ];
+    let evals = Evaluator::builder()
+        .build()
+        .submit_batch(EvalJob::batch(jobs).expect("one benchmark"))
+        .collect()
+        .expect("every job succeeds");
+    let (base, overridden) = evals.split_first().expect("five evaluations");
+    let changed = |eval: &BenchmarkEvaluation| -> Vec<String> {
+        assert_eq!(eval.schemes.len(), names::ALL.len());
+        eval.schemes
+            .iter()
+            .zip(&base.schemes)
+            .filter(|(o, b)| {
+                (&o.label, format!("{:?}", o.result.stats))
+                    != (&b.label, format!("{:?}", b.result.stats))
+            })
+            .map(|(o, _)| o.name.clone())
+            .collect()
+    };
+    assert_eq!(changed(&overridden[0]), [names::ONLINE]);
+    assert_eq!(changed(&overridden[1]), [names::PID]);
+    assert_eq!(changed(&overridden[2]), [names::PROFILE]);
+    let label = |eval: &BenchmarkEvaluation| eval.outcome(names::PROFILE).unwrap().label.clone();
+    assert_eq!(
+        (label(base), label(&overridden[2])),
+        ("profile L+F".to_string(), "profile F".to_string())
+    );
+    let slowdown = changed(&overridden[3]);
+    for name in [names::OFFLINE, names::PROFILE, names::LEARNED] {
+        assert!(
+            slowdown.iter().any(|n| n == name),
+            "{name} ignored the slowdown"
+        );
+    }
+    for name in [names::ONLINE, names::PID, names::SYSSCALE] {
+        assert!(
+            !slowdown.iter().any(|n| n == name),
+            "{name} read the slowdown"
+        );
+    }
 }
 
 /// Per-job events arrive in lifecycle order and job ids are monotonically
