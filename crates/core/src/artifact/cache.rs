@@ -223,16 +223,6 @@ impl ArtifactCache {
         self
     }
 
-    /// The fault plan this cache consults.
-    pub fn faults(&self) -> &Arc<FaultPlan> {
-        &self.faults
-    }
-
-    /// The retry policy this cache runs reads and writes under.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Snapshot of the retry counters: re-attempts taken, operations that
     /// recovered on a retry, and operations that exhausted the budget.
     pub fn retry_stats(&self) -> RetryStats {

@@ -14,10 +14,10 @@
 //!
 //! * [`FaultSite`] — the enumerated injection points threaded through the
 //!   artifact store and the service layer.
-//! * [`FaultConfig`] — per-site probabilities plus the seed; build one
-//!   explicitly or from the environment (`MCD_FAULT_SEED` turns the
-//!   [`FaultConfig::chaos`] preset on, `MCD_FAULT_<SITE>` overrides
-//!   individual probabilities).
+//! * [`FaultConfig`] — per-site probabilities plus the seed; start from the
+//!   [`FaultConfig::chaos`] preset (what `loadtest --chaos-only --fault-seed N`
+//!   runs) or the all-zero default, and tune single sites with
+//!   [`FaultConfig::with_probability`].
 //! * [`FaultPlan`] — the shared decision engine: every potential injection
 //!   point asks [`FaultPlan::should`], which draws from a per-site
 //!   counter-keyed splitmix64 sequence. The per-site sequences depend only on

@@ -55,7 +55,7 @@ impl FaultSite {
         }
     }
 
-    /// Stable machine-readable name (used in error messages and env vars).
+    /// Stable machine-readable name (used in error messages and reports).
     pub fn label(self) -> &'static str {
         match self {
             FaultSite::ArtifactRead => "artifact-read",
@@ -158,27 +158,6 @@ impl FaultConfig {
     pub fn any_enabled(&self) -> bool {
         FaultSite::ALL.iter().any(|&s| self.probability(s) > 0.0)
     }
-
-    /// Builds the config from environment-shaped inputs (factored out of
-    /// [`FaultPlan::from_env`] so it is testable without mutating the
-    /// process environment): `seed` unset or unparsable means "disabled";
-    /// set, it turns on [`FaultConfig::chaos`] with any per-site override
-    /// applied on top.
-    pub fn from_settings(
-        seed: Option<&str>,
-        overrides: impl Fn(FaultSite) -> Option<String>,
-    ) -> Self {
-        let Some(seed) = seed.and_then(|s| s.trim().parse::<u64>().ok()) else {
-            return FaultConfig::default();
-        };
-        let mut config = FaultConfig::chaos(seed);
-        for site in FaultSite::ALL {
-            if let Some(p) = overrides(site).and_then(|v| v.trim().parse::<f64>().ok()) {
-                config = config.with_probability(site, p.clamp(0.0, 1.0));
-            }
-        }
-        config
-    }
 }
 
 /// The payload of an *injected* worker panic, distinguishable (by downcast)
@@ -264,24 +243,6 @@ impl FaultPlan {
     /// A plan that never fires — the hooks' zero-cost default.
     pub fn disabled() -> Self {
         FaultPlan::default()
-    }
-
-    /// Builds a plan from the environment: `MCD_FAULT_SEED=<u64>` enables the
-    /// [`FaultConfig::chaos`] preset under that seed;
-    /// `MCD_FAULT_ARTIFACT_READ`, `MCD_FAULT_SHORT_READ`,
-    /// `MCD_FAULT_ARTIFACT_WRITE`, `MCD_FAULT_TORN_WRITE`,
-    /// `MCD_FAULT_LOCK_STALL` and `MCD_FAULT_WORKER_PANIC` (one per
-    /// [`FaultSite::label`]) override single probabilities. With no seed the
-    /// plan is disabled.
-    pub fn from_env() -> Self {
-        let seed = std::env::var("MCD_FAULT_SEED").ok();
-        FaultPlan::new(FaultConfig::from_settings(seed.as_deref(), |site| {
-            std::env::var(format!(
-                "MCD_FAULT_{}",
-                site.label().replace('-', "_").to_ascii_uppercase()
-            ))
-            .ok()
-        }))
     }
 
     /// The configuration this plan fires under.
@@ -420,26 +381,6 @@ mod tests {
             // ...but none of them dominates: most work still succeeds.
             assert!(stats.injected_at(site) < 500, "site {site} fires too often");
         }
-    }
-
-    #[test]
-    fn settings_parse_seed_preset_and_overrides() {
-        let off = FaultConfig::from_settings(None, |_| None);
-        assert!(!off.any_enabled());
-        let off = FaultConfig::from_settings(Some("not-a-number"), |_| None);
-        assert!(!off.any_enabled());
-
-        let on = FaultConfig::from_settings(Some("9"), |_| None);
-        assert_eq!(on, FaultConfig::chaos(9));
-
-        let tuned = FaultConfig::from_settings(Some("9"), |site| {
-            (site == FaultSite::WorkerPanic).then(|| "0.5".to_string())
-        });
-        assert_eq!(tuned.worker_panic, 0.5);
-        assert_eq!(tuned.read_error, FaultConfig::chaos(9).read_error);
-        // Overrides are clamped into [0, 1].
-        let clamped = FaultConfig::from_settings(Some("9"), |_| Some("7.5".to_string()));
-        assert_eq!(clamped.read_error, 1.0);
     }
 
     #[test]

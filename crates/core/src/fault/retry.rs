@@ -5,15 +5,13 @@ use std::time::Duration;
 /// How many times (and how patiently) the artifact store re-attempts a
 /// failed read or write before falling back to recomputation.
 ///
-/// The schedule is fully deterministic — exponential growth from
-/// the base delay ([`with_base`](RetryPolicy::with_base)) by the multiplier
-/// ([`with_multiplier`](RetryPolicy::with_multiplier)),
-/// no jitter — so a chaos failure replays identically from its seed.
+/// The schedule is fully deterministic — the delay doubles from the base
+/// delay ([`with_base`](RetryPolicy::with_base)), no jitter — so a chaos
+/// failure replays identically from its seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     attempts: u32,
     base: Duration,
-    multiplier: u32,
 }
 
 impl Default for RetryPolicy {
@@ -22,7 +20,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             attempts: 3,
             base: Duration::from_millis(2),
-            multiplier: 2,
         }
     }
 }
@@ -37,20 +34,9 @@ impl RetryPolicy {
         }
     }
 
-    /// No retries at all: one attempt, fail straight to the fallback.
-    pub fn none() -> Self {
-        RetryPolicy::new(1)
-    }
-
     /// Replaces the first backoff delay.
     pub fn with_base(mut self, base: Duration) -> Self {
         self.base = base;
-        self
-    }
-
-    /// Replaces the backoff growth factor (floor 1).
-    pub fn with_multiplier(mut self, multiplier: u32) -> Self {
-        self.multiplier = multiplier.max(1);
         self
     }
 
@@ -64,9 +50,9 @@ impl RetryPolicy {
         self.attempts - 1
     }
 
-    /// The delay before retry `retry` (1-based): `base · multiplierʳ⁻¹`.
+    /// The delay before retry `retry` (1-based): `base · 2ʳ⁻¹`.
     pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = self.multiplier.saturating_pow(retry.saturating_sub(1));
+        let factor = 2u32.saturating_pow(retry.saturating_sub(1));
         self.base.saturating_mul(factor)
     }
 }
@@ -100,19 +86,19 @@ mod tests {
 
     #[test]
     fn none_means_a_single_attempt() {
-        let policy = RetryPolicy::none();
+        let policy = RetryPolicy::new(1);
         assert_eq!(policy.attempts(), 1);
         assert_eq!(policy.retries(), 0);
     }
 
     #[test]
     fn floors_keep_the_schedule_sane() {
-        let policy = RetryPolicy::new(0).with_multiplier(0);
+        let policy = RetryPolicy::new(0);
         assert_eq!(policy.attempts(), 1);
         assert_eq!(
+            policy.backoff(0),
             policy.backoff(1),
-            policy.backoff(2),
-            "multiplier floors to 1"
+            "retry index floors to 1"
         );
     }
 

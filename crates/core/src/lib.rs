@@ -12,8 +12,9 @@
 //!   edit the binary (via `mcd-profiling`), choose per-node frequencies, and
 //!   reconfigure at subroutine/loop boundaries during production runs;
 //! * [`pipeline`] — the staged analysis pipeline behind the off-line oracle:
-//!   trace capture, window slicing, window-parallel shaker/threshold analysis
-//!   (bit-identical to the serial order), and schedule assembly/replay;
+//!   streaming capture into window-parallel DAG/shaker analysis (bit-identical
+//!   to the serial order), slowdown thresholding of the per-window
+//!   histograms, and schedule replay;
 //! * [`artifact`] — the content-addressed on-disk artifact cache that lets
 //!   evaluations and figure binaries reuse off-line schedules and training
 //!   plans instead of re-training;
@@ -84,11 +85,11 @@ pub use error::{find_benchmark, run_main, McdError};
 pub use evaluation::{BenchmarkEvaluation, EvaluationConfig, SchemeResult};
 pub use fault::{FaultConfig, FaultPlan, FaultSite, FaultStats, RetryPolicy, RetryStats};
 pub use learned::{LearnedConfig, LearnedPolicy, LearnedTable};
-pub use offline::{run_offline, OfflineConfig, OfflineResult, OfflineSchedule};
+pub use offline::{OfflineConfig, OfflineSchedule};
 pub use online::{OnlineConfig, OnlineController};
 pub use pid::{PidConfig, PidController};
 pub use pipeline::AnalysisPipeline;
-pub use profile::{train, train_and_run, ProfileHooks, ProfilePlan, TrainingConfig};
+pub use profile::{train, ProfileHooks, ProfilePlan, TrainingConfig};
 pub use scheme::{
     DvfsScheme, GlobalDvsScheme, Lane, LearnedScheme, OfflineScheme, OnlineScheme, PidScheme,
     Pools, Prepared, ProfileScheme, SchemeContext, SchemeOutcome, SysScaleScheme,

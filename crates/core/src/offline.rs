@@ -10,18 +10,12 @@
 //! against.
 //!
 //! The analysis itself lives in the staged [`crate::pipeline`] module
-//! (capture → slice → per-window analysis → schedule assembly);
-//! [`run_offline`] is the serial convenience wrapper. Use
-//! [`AnalysisPipeline`] directly for
-//! window-parallel analysis, and [`crate::artifact`] to cache the resulting
-//! schedules across processes.
+//! (streaming capture → per-window histograms → slowdown thresholding →
+//! replay); [`crate::artifact`] caches its histograms and schedules across
+//! processes.
 
-use crate::pipeline::AnalysisPipeline;
 use crate::shaker::ShakerConfig;
-use mcd_sim::config::MachineConfig;
 use mcd_sim::reconfig::FrequencySetting;
-use mcd_sim::stats::SimStats;
-use mcd_sim::trace::PackedTrace;
 
 /// Parameters of the off-line oracle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,50 +76,30 @@ impl OfflineSchedule {
     }
 }
 
-/// Result of an off-line-oracle evaluation of one benchmark.
-#[derive(Debug, Clone)]
-pub struct OfflineResult {
-    /// The per-window schedule the oracle chose.
-    pub schedule: OfflineSchedule,
-    /// Statistics of the controlled run.
-    pub stats: SimStats,
-}
-
-/// Runs the off-line oracle on a reference trace, serially.
-///
-/// The same trace is first recorded at full speed (the "future knowledge"),
-/// then replayed under the computed schedule. This is a thin wrapper over the
-/// staged [`AnalysisPipeline`]; build the pipeline yourself to fan the
-/// per-window analysis out across worker threads.
-pub fn run_offline(
-    trace: &PackedTrace,
-    machine: &MachineConfig,
-    config: &OfflineConfig,
-) -> OfflineResult {
-    AnalysisPipeline::new(*config).run(trace, machine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcd_sim::simulator::NullHooks;
-    use mcd_sim::simulator::Simulator;
-    use mcd_sim::stats::RelativeMetrics;
+    use crate::pipeline::schedule::replay_with;
+    use crate::pipeline::{threshold_windows, AnalysisPipeline};
+    use mcd_sim::config::MachineConfig;
+    use mcd_sim::simulator::{NullHooks, Simulator};
+    use mcd_sim::stats::{RelativeMetrics, SimStats};
     use mcd_sim::time::MegaHertz;
     use mcd_workloads::generator::generate_packed;
-    use mcd_workloads::programs;
+    use mcd_workloads::{programs, suite};
 
     #[test]
     fn oracle_saves_energy_on_integer_code() {
         let (program, inputs) = programs::adpcm::decode();
         let trace = generate_packed(&program, &inputs.training);
         let machine = MachineConfig::default();
-        let baseline = Simulator::new(machine.clone())
-            .run(trace.iter(), &mut NullHooks, false)
-            .stats;
-        let result = run_offline(&trace, &machine, &OfflineConfig::default());
-        assert!(!result.schedule.is_empty());
-        let metrics = RelativeMetrics::relative_to(&result.stats, &baseline);
+        let simulator = Simulator::new(machine);
+        let baseline = simulator.run(trace.iter(), &mut NullHooks, false).stats;
+        let config = OfflineConfig::default();
+        let (schedule, _) = AnalysisPipeline::new(config).analyze_with_report(&simulator, &trace);
+        assert!(!schedule.is_empty());
+        let stats = replay_with(&simulator, &trace, &schedule, config.window_instructions);
+        let metrics = RelativeMetrics::relative_to(&stats, &baseline);
         assert!(
             metrics.energy_savings > 0.05,
             "oracle should save energy, got {:.1}%",
@@ -192,28 +166,44 @@ mod tests {
         assert_eq!(schedule.setting(u64::MAX), Some(only));
     }
 
+    /// The metamorphic property "a looser slowdown target never costs the
+    /// oracle energy", over one histogram analysis per trace thresholded at
+    /// every target. Run time is compared only between two distant targets:
+    /// it does not rise monotonically with the target (0 → 0.01 often runs
+    /// faster).
     #[test]
     fn tighter_slowdown_bound_costs_less_performance() {
-        let (program, inputs) = programs::gsm::decode();
-        let trace = generate_packed(&program, &inputs.training).truncated(60_000);
+        const TARGETS: [f64; 12] = [
+            0.0, 0.01, 0.02, 0.03, 0.05, 0.07, 0.10, 0.15, 0.20, 0.30, 0.50, 0.90,
+        ];
         let machine = MachineConfig::default();
-        let tight = run_offline(
-            &trace,
-            &machine,
-            &OfflineConfig {
-                slowdown: 0.02,
-                ..OfflineConfig::default()
-            },
-        );
-        let loose = run_offline(
-            &trace,
-            &machine,
-            &OfflineConfig {
-                slowdown: 0.15,
-                ..OfflineConfig::default()
-            },
-        );
-        assert!(loose.stats.run_time >= tight.stats.run_time);
-        assert!(loose.stats.total_energy.as_units() <= tight.stats.total_energy.as_units());
+        let config = OfflineConfig::default();
+        let simulator = Simulator::new(machine.clone());
+        for name in ["gsm decode", "swim", "kv store"] {
+            let bench = suite::benchmark(name).expect("known benchmark");
+            let trace = generate_packed(&bench.program, &bench.inputs.training).truncated(60_000);
+            let (windows, _) = AnalysisPipeline::new(config).histograms(&simulator, &trace);
+            let runs: Vec<SimStats> = TARGETS
+                .iter()
+                .map(|&slowdown| {
+                    let schedule = threshold_windows(&windows, slowdown, &machine.grid);
+                    replay_with(&simulator, &trace, &schedule, config.window_instructions)
+                })
+                .collect();
+            for (targets, stats) in TARGETS.windows(2).zip(runs.windows(2)) {
+                assert!(
+                    stats[1].total_energy.as_units() <= stats[0].total_energy.as_units(),
+                    "{name}: energy rose from slowdown {} to {}",
+                    targets[0],
+                    targets[1]
+                );
+            }
+            // TARGETS[2] = 0.02 and TARGETS[7] = 0.15.
+            let (tight, loose) = (&runs[2], &runs[7]);
+            assert!(
+                loose.run_time >= tight.run_time,
+                "{name}: slowdown 0.15 ran faster than 0.02"
+            );
+        }
     }
 }

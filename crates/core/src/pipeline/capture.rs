@@ -4,7 +4,6 @@
 //! executed once at full speed with primitive-event recording enabled, and the
 //! recorded event DAG plus the run statistics feed the later stages.
 
-use mcd_sim::config::MachineConfig;
 use mcd_sim::events::EventTrace;
 use mcd_sim::instruction::TraceItem;
 use mcd_sim::simulator::{NullHooks, Simulator};
@@ -27,19 +26,11 @@ impl CapturedTrace {
     }
 }
 
-/// Runs `trace` at full speed on `machine`, recording primitive events.
-///
-/// Convenience wrapper that builds the simulator itself; hot paths share one
-/// simulator per pipeline run through [`capture_with`] (or skip whole-run
-/// capture entirely via the streaming
-/// [`analyze_streaming`](crate::pipeline::window::analyze_streaming) stage).
-pub fn capture(trace: &[TraceItem], machine: &MachineConfig) -> CapturedTrace {
-    capture_with(&Simulator::new(machine.clone()), trace.iter().copied())
-}
-
-/// Runs the item stream at full speed on a caller-provided simulator,
-/// recording primitive events. Accepts any item source (legacy slices via
-/// `iter().copied()`, packed traces via `PackedTrace::iter`).
+/// Runs the item stream at full speed on `simulator`, recording primitive
+/// events. Accepts any item source (slices via `iter().copied()`, packed
+/// traces via `PackedTrace::iter`). The oracle's hot path never captures a
+/// whole run: [`AnalysisPipeline::histograms`](crate::pipeline::AnalysisPipeline::histograms)
+/// streams one window at a time.
 pub fn capture_with<I>(simulator: &Simulator, trace: I) -> CapturedTrace
 where
     I: IntoIterator<Item = TraceItem>,
@@ -54,6 +45,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcd_sim::config::MachineConfig;
     use mcd_workloads::generator::generate_trace;
     use mcd_workloads::programs;
 
@@ -61,7 +53,8 @@ mod tests {
     fn capture_records_events_and_stats() {
         let (program, inputs) = programs::adpcm::decode();
         let trace = generate_trace(&program, &inputs.training);
-        let captured = capture(&trace, &MachineConfig::default());
+        let simulator = Simulator::new(MachineConfig::default());
+        let captured = capture_with(&simulator, trace.iter().copied());
         assert!(captured.instructions() > 10_000);
         assert!(!captured.events.is_empty());
         // Every event belongs to an executed instruction.

@@ -1,21 +1,15 @@
-//! Pipeline stage 4: schedule assembly and controlled replay.
+//! Pipeline stage 4: controlled replay.
 //!
-//! The per-window settings from stage 3 are collected into an
-//! [`OfflineSchedule`]; replaying the trace under [`ScheduleHooks`] applies
-//! each window's setting at the window boundary (the oracle's controlled run).
+//! Replaying the trace under [`ScheduleHooks`] applies each window's setting
+//! of an [`OfflineSchedule`] at the window boundary (the oracle's controlled
+//! run).
 
 use crate::offline::OfflineSchedule;
-use mcd_sim::config::MachineConfig;
 use mcd_sim::reconfig::FrequencySetting;
 use mcd_sim::simulator::{SimHooks, Simulator};
 use mcd_sim::stats::SimStats;
 use mcd_sim::time::TimeNs;
 use mcd_sim::trace::PackedTrace;
-
-/// Collects per-window settings into a schedule (stage 4's assembly half).
-pub fn assemble(settings: Vec<FrequencySetting>) -> OfflineSchedule {
-    OfflineSchedule::from_settings(settings)
-}
 
 /// Hooks that replay a per-window schedule during a controlled run: at every
 /// window boundary the window's setting is written to the reconfiguration
@@ -54,24 +48,8 @@ impl SimHooks for ScheduleHooks<'_> {
     }
 }
 
-/// Replays `trace` on `machine` under `schedule`, returning the controlled
+/// Replays `trace` on `simulator` under `schedule`, returning the controlled
 /// run's statistics.
-pub fn replay(
-    trace: &PackedTrace,
-    machine: &MachineConfig,
-    schedule: &OfflineSchedule,
-    window_instructions: u64,
-) -> SimStats {
-    replay_with(
-        &Simulator::new(machine.clone()),
-        trace,
-        schedule,
-        window_instructions,
-    )
-}
-
-/// [`replay`] on a caller-provided simulator (shared with the capture stage
-/// by [`AnalysisPipeline::run`](crate::pipeline::AnalysisPipeline::run)).
 pub fn replay_with(
     simulator: &Simulator,
     trace: &PackedTrace,
@@ -88,21 +66,9 @@ mod tests {
     use mcd_sim::time::MegaHertz;
 
     #[test]
-    fn assemble_preserves_window_order() {
-        let settings: Vec<FrequencySetting> = (0..4)
-            .map(|i| FrequencySetting::uniform(MegaHertz::new(250.0 + 25.0 * i as f64)))
-            .collect();
-        let schedule = assemble(settings.clone());
-        assert_eq!(schedule.len(), 4);
-        for (i, expected) in settings.iter().enumerate() {
-            assert_eq!(schedule.setting(i as u64), Some(*expected));
-        }
-    }
-
-    #[test]
     fn hooks_replay_the_schedule_and_persist_the_last_setting() {
         let slow = FrequencySetting::uniform(MegaHertz::new(250.0));
-        let schedule = assemble(vec![FrequencySetting::full_speed(), slow]);
+        let schedule = OfflineSchedule::from_settings(vec![FrequencySetting::full_speed(), slow]);
         let mut hooks = ScheduleHooks::new(&schedule, 1_000);
         assert_eq!(
             hooks.initial_setting(),
@@ -116,7 +82,7 @@ mod tests {
 
     #[test]
     fn hooks_clamp_a_zero_window() {
-        let schedule = assemble(vec![FrequencySetting::full_speed()]);
+        let schedule = OfflineSchedule::from_settings(vec![FrequencySetting::full_speed()]);
         let hooks = ScheduleHooks::new(&schedule, 0);
         assert_eq!(hooks.instruction_window(), Some(1));
     }

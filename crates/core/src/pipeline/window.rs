@@ -1,15 +1,16 @@
-//! Pipeline stages 2 and 3: windowed capture and per-window analysis.
+//! Pipeline stages 1 and 2: windowed capture and per-window analysis.
 //!
-//! The hot entry point is [`analyze_streaming`]: the recording run streams
-//! each completed fixed-instruction window straight out of the simulator
-//! ([`Simulator::run_windowed`]) into the shaker stage, so the whole-run
-//! `EventTrace` — two hundred bytes per instruction — is never materialized;
-//! peak capture memory is O(window). Serially the same window buffer is
-//! reused for every window (arena reuse); with `parallelism > 1` closed
-//! windows flow through a bounded channel to scoped worker threads, so
-//! analysis overlaps capture and at most a few windows are ever resident.
-//! Either way the per-window settings are bit-identical for every thread
-//! budget.
+//! The streaming stage behind
+//! [`AnalysisPipeline::histograms`](crate::pipeline::AnalysisPipeline::histograms)
+//! streams each completed fixed-instruction window straight out of the
+//! simulator ([`Simulator::run_windowed`]) into DAG construction and the
+//! shaker, so the whole-run `EventTrace` — two hundred bytes per instruction
+//! — is never materialized; peak capture memory is O(window). Serially the
+//! same window buffer is reused for every window (arena reuse); with
+//! `parallelism > 1` closed windows flow through a bounded channel to scoped
+//! worker threads, so analysis overlaps capture and at most a few windows are
+//! ever resident. Either way the per-window histograms are bit-identical for
+//! every thread budget.
 //!
 //! For a trace that was captured whole ([`capture`](crate::pipeline::capture)),
 //! [`slice_windows`] partitions the [`CapturedTrace`] into a [`WindowPlan`]
@@ -20,11 +21,8 @@ use crate::dag::DependenceDag;
 use crate::histogram::RegionHistograms;
 use crate::pipeline::capture::CapturedTrace;
 use crate::shaker::Shaker;
-use crate::threshold::SlowdownThreshold;
-use mcd_sim::config::MachineConfig;
 use mcd_sim::events::EventTrace;
 use mcd_sim::freq::FrequencyGrid;
-use mcd_sim::reconfig::FrequencySetting;
 use mcd_sim::simulator::{NullHooks, Simulator};
 use mcd_sim::trace::PackedTrace;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,80 +41,24 @@ pub struct StreamReport {
 }
 
 /// Runs capture and per-window analysis as one streaming stage: the
-/// full-speed recording run hands each closed window to the shaker/threshold
-/// analysis as soon as it completes, returning the per-window settings (in
-/// window order) plus a [`StreamReport`].
+/// full-speed recording run hands each closed window to DAG construction and
+/// the shaker as soon as it completes, returning each window's histograms in
+/// window order (`None` for an empty window) plus a [`StreamReport`].
 ///
-/// `simulator` is shared by the caller (one per pipeline run); the settings
-/// are bit-identical for every `parallelism` value.
-pub fn analyze_streaming(
+/// Serially the windows are analysed in place, reusing one window buffer for
+/// the whole run; with `parallelism > 1` they flow through a bounded channel
+/// to scoped workers. The histograms are bit-identical for every
+/// `parallelism` value.
+pub(crate) fn stream_histograms(
     trace: &PackedTrace,
     simulator: &Simulator,
     window_instructions: u64,
     shaker: &Shaker,
-    chooser: &SlowdownThreshold,
     parallelism: usize,
-) -> (Vec<FrequencySetting>, StreamReport) {
-    let machine = simulator.config();
-    stream_windows(trace, simulator, window_instructions, parallelism, |buf| {
-        analyze_one(buf, machine, shaker, chooser)
-    })
-}
-
-/// [`analyze_streaming`], additionally returning each window's shaken
-/// histograms (`None` for empty windows, which skip analysis entirely).
-///
-/// The histograms are everything the slowdown-thresholding stage reads, so a
-/// caller can persist them and later re-derive the schedule for a *different*
-/// slowdown target via [`crate::pipeline::threshold_windows`] without
-/// repeating capture, DAG construction, or shaking. The settings returned
-/// here are bit-identical to [`analyze_streaming`]'s.
-pub fn analyze_streaming_with_histograms(
-    trace: &PackedTrace,
-    simulator: &Simulator,
-    window_instructions: u64,
-    shaker: &Shaker,
-    chooser: &SlowdownThreshold,
-    parallelism: usize,
-) -> (
-    Vec<FrequencySetting>,
-    Vec<Option<RegionHistograms>>,
-    StreamReport,
-) {
-    let machine = simulator.config();
-    let (pairs, report) =
-        stream_windows(trace, simulator, window_instructions, parallelism, |buf| {
-            let histograms = window_histograms(buf, machine, shaker);
-            let setting = threshold_one(histograms.as_ref(), chooser, &machine.grid);
-            (setting, histograms)
-        });
-    let mut settings = Vec::with_capacity(pairs.len());
-    let mut histograms = Vec::with_capacity(pairs.len());
-    for (setting, h) in pairs {
-        settings.push(setting);
-        histograms.push(h);
-    }
-    (settings, histograms, report)
-}
-
-/// The streaming skeleton shared by [`analyze_streaming`] and
-/// [`analyze_streaming_with_histograms`]: runs the capture, applies `analyze`
-/// to every closed window (serially in place, or on scoped workers fed by a
-/// bounded channel), and returns the per-window results in window order.
-fn stream_windows<T, F>(
-    trace: &PackedTrace,
-    simulator: &Simulator,
-    window_instructions: u64,
-    parallelism: usize,
-    analyze: F,
-) -> (Vec<T>, StreamReport)
-where
-    T: Send,
-    F: Fn(&EventTrace) -> T + Sync,
-{
+) -> (Vec<Option<RegionHistograms>>, StreamReport) {
+    let grid = &simulator.config().grid;
+    let analyze = |window: &EventTrace| window_histograms(window, grid, shaker);
     if parallelism <= 1 {
-        // Serial: analyse in place, reusing one window buffer for the whole
-        // run.
         let mut results = Vec::new();
         let mut peak = 0usize;
         simulator.run_windowed(
@@ -139,7 +81,8 @@ where
     // Parallel: closed windows travel through a bounded channel to scoped
     // workers, so capture overlaps analysis while total resident memory stays
     // at O(parallelism × window).
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new(Vec::new());
+    type Slot = Option<Option<RegionHistograms>>;
+    let slots: Mutex<Vec<Slot>> = Mutex::new(Vec::new());
     let resident = AtomicUsize::new(0);
     let peak = AtomicUsize::new(0);
     let (tx, rx) = mpsc::sync_channel::<(u64, EventTrace)>(parallelism * 2);
@@ -174,7 +117,7 @@ where
         );
         drop(tx);
     });
-    let results: Vec<T> = slots
+    let results: Vec<_> = slots
         .into_inner()
         .expect("workers exited")
         .into_iter()
@@ -247,58 +190,34 @@ pub fn slice_windows(captured: &CapturedTrace, window_instructions: u64) -> Wind
     }
 }
 
-/// Analyses one window slice: DAG build, shaker, slowdown thresholding.
-fn analyze_one(
+/// One window's analysis: DAG build plus shaking. `None` marks an empty
+/// window, which skips analysis; thresholding maps it straight to full speed
+/// (which is *not* what thresholding an all-zero histogram would produce, so
+/// the distinction must survive a cache round trip).
+fn window_histograms(
     slice: &EventTrace,
-    machine: &MachineConfig,
-    shaker: &Shaker,
-    chooser: &SlowdownThreshold,
-) -> FrequencySetting {
-    let histograms = window_histograms(slice, machine, shaker);
-    threshold_one(histograms.as_ref(), chooser, &machine.grid)
-}
-
-/// The expensive, slowdown-independent half of one window's analysis: DAG
-/// build plus shaking. `None` marks an empty window — it skips analysis, and
-/// [`threshold_one`] maps it straight to full speed (which is *not* what
-/// thresholding an all-zero histogram would produce, so the distinction must
-/// survive a cache round trip).
-pub(crate) fn window_histograms(
-    slice: &EventTrace,
-    machine: &MachineConfig,
+    grid: &FrequencyGrid,
     shaker: &Shaker,
 ) -> Option<RegionHistograms> {
     if slice.is_empty() {
         return None;
     }
     let mut dag = DependenceDag::from_trace(slice);
-    Some(shaker.shake_into_histograms(&mut dag, &machine.grid, machine.grid.max()))
-}
-
-/// The cheap, slowdown-dependent half: thresholds one window's histograms
-/// into a quantized frequency setting.
-pub(crate) fn threshold_one(
-    histograms: Option<&RegionHistograms>,
-    chooser: &SlowdownThreshold,
-    grid: &FrequencyGrid,
-) -> FrequencySetting {
-    match histograms {
-        None => FrequencySetting::full_speed(),
-        Some(h) => chooser.choose(h).quantized(grid),
-    }
+    Some(shaker.shake_into_histograms(&mut dag, grid, grid.max()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::capture::capture;
-    use mcd_workloads::generator::generate_trace;
+    use crate::pipeline::capture::capture_with;
+    use mcd_sim::config::MachineConfig;
+    use mcd_workloads::generator::generate_packed;
     use mcd_workloads::programs;
 
     fn captured() -> CapturedTrace {
         let (program, inputs) = programs::adpcm::decode();
-        let trace = generate_trace(&program, &inputs.training);
-        capture(&trace, &MachineConfig::default())
+        let trace = generate_packed(&program, &inputs.training);
+        capture_with(&Simulator::new(MachineConfig::default()), trace.iter())
     }
 
     #[test]

@@ -92,33 +92,24 @@ pub fn instrumentation_plan(trace: &PackedTrace, config: &TrainingConfig) -> Ins
     InstrumentationPlan::new(tree, long_running, config.policy)
 }
 
-/// Phases 2 and 3 of training: the full-speed recording run of the training
-/// input, then shaker plus slowdown thresholding per reconfiguration key.
-/// This is the dominant cost of training — the part the artifact cache skips.
-fn analyze_training_run(
-    trace: &PackedTrace,
-    instrumentation: &InstrumentationPlan,
-    machine: &MachineConfig,
-    config: &TrainingConfig,
-) -> (FrequencyTable, SimStats) {
-    let (entries, stats) = training_histograms(trace, instrumentation, machine, config);
-    (
-        threshold_table(&entries, config.slowdown, &machine.grid),
-        stats,
-    )
-}
-
-/// The slowdown-independent bulk of training (phases 2 and 3a): the
-/// full-speed recording run plus per-region DAG construction and shaking.
-/// Returns the non-empty `(key, histograms)` pairs in region-partition order
-/// (empty regions never enter the frequency table, so they are dropped here)
-/// alongside the training-run statistics.
+/// The slowdown-independent bulk of training: generates the training trace,
+/// lays out its instrumentation (phase 1), then runs the full-speed
+/// recording run and per-region DAG construction plus shaking (phases 2 and
+/// 3a). Returns the instrumentation plan, the non-empty `(key, histograms)`
+/// pairs in region-partition order (empty regions never enter the frequency
+/// table, so they are dropped here) and the training-run statistics.
 pub(crate) fn training_histograms(
-    trace: &PackedTrace,
-    instrumentation: &InstrumentationPlan,
+    program: &Program,
+    training_input: &InputSet,
     machine: &MachineConfig,
     config: &TrainingConfig,
-) -> (Vec<(NodeKey, RegionHistograms)>, SimStats) {
+) -> (
+    InstrumentationPlan,
+    Vec<(NodeKey, RegionHistograms)>,
+    SimStats,
+) {
+    let trace = mcd_workloads::generator::generate_packed(program, training_input);
+    let instrumentation = instrumentation_plan(&trace, config);
     // Run the training input at full speed, recording primitive events tagged
     // with the innermost active reconfiguration key.
     let mut region_of_key: HashMap<NodeKey, u32> = HashMap::new();
@@ -135,12 +126,10 @@ pub(crate) fn training_histograms(
     let result = simulator.run(trace.iter(), &mut trainer_hooks, true);
     let events = result.events.expect("training run records events");
 
-    // Shaker per reconfiguration key. The recorded trace is partitioned into
-    // every region's slice in one pass (the previous per-key `region_slice`
-    // rescanned all events and edges once per reconfiguration key).
+    // Shaker per reconfiguration key, over every region's slice of the
+    // recorded trace, partitioned in one pass.
     let shaker = Shaker::with_config(config.shaker);
-    let grid = machine.grid.clone();
-    let f_max = machine.grid.max();
+    let grid = &machine.grid;
     let mut entries = Vec::new();
     for (region, slice) in events.partition_regions() {
         let Some(key) = key_of_region.get(&region) else {
@@ -150,13 +139,13 @@ pub(crate) fn training_histograms(
             continue;
         }
         let mut dag = DependenceDag::from_trace(&slice);
-        let histograms = shaker.shake_into_histograms(&mut dag, &grid, f_max);
+        let histograms = shaker.shake_into_histograms(&mut dag, grid, grid.max());
         if histograms.is_empty() {
             continue;
         }
         entries.push((*key, histograms));
     }
-    (entries, result.stats)
+    (instrumentation, entries, result.stats)
 }
 
 /// Phase 3b: slowdown-thresholds per-key histograms into a frequency table.
@@ -187,37 +176,13 @@ pub fn train(
     machine: &MachineConfig,
     config: &TrainingConfig,
 ) -> ProfilePlan {
-    let trace = mcd_workloads::generator::generate_packed(program, training_input);
-    let instrumentation = instrumentation_plan(&trace, config);
-    let (table, training_stats) = analyze_training_run(&trace, &instrumentation, machine, config);
+    let (instrumentation, entries, training_stats) =
+        training_histograms(program, training_input, machine, config);
     ProfilePlan {
         instrumentation,
-        table,
+        table: threshold_table(&entries, config.slowdown, &machine.grid),
         training_stats,
     }
-}
-
-/// [`train`], additionally returning the per-key shaken histograms the
-/// thresholding consumed — the payload of the `"training-histograms"`
-/// artifact, from which any slowdown target's table can be re-derived.
-pub(crate) fn train_with_histograms(
-    program: &Program,
-    training_input: &InputSet,
-    machine: &MachineConfig,
-    config: &TrainingConfig,
-) -> (ProfilePlan, Vec<(NodeKey, RegionHistograms)>) {
-    let trace = mcd_workloads::generator::generate_packed(program, training_input);
-    let instrumentation = instrumentation_plan(&trace, config);
-    let (entries, training_stats) = training_histograms(&trace, &instrumentation, machine, config);
-    let table = threshold_table(&entries, config.slowdown, &machine.grid);
-    (
-        ProfilePlan {
-            instrumentation,
-            table,
-            training_stats,
-        },
-        entries,
-    )
 }
 
 /// Hooks used during the profiling (training) run: follow the instrumentation
@@ -285,23 +250,6 @@ impl SimHooks for ProfileHooks<'_> {
     }
 }
 
-/// Convenience: train on the training input and run the production (reference)
-/// trace, returning the production statistics.
-pub fn train_and_run(
-    program: &Program,
-    training_input: &InputSet,
-    reference_input: &InputSet,
-    machine: &MachineConfig,
-    config: &TrainingConfig,
-) -> (ProfilePlan, SimStats) {
-    let plan = train(program, training_input, machine, config);
-    let trace = mcd_workloads::generator::generate_packed(program, reference_input);
-    let simulator = Simulator::new(machine.clone());
-    let mut hooks = plan.hooks();
-    let result = simulator.run(trace.iter(), &mut hooks, false);
-    (plan, result.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,20 +312,15 @@ mod tests {
         let (program, inputs) = programs::adpcm::decode();
         let mcfg = machine();
         let config = TrainingConfig::default();
-        let (plan, stats) = train_and_run(
-            &program,
-            &inputs.training,
-            &inputs.reference,
-            &mcfg,
-            &config,
-        );
+        let plan = train(&program, &inputs.training, &mcfg, &config);
         assert!(!plan.table.is_empty());
 
-        // Baseline: the same reference trace at full speed.
+        // The production run and its baseline: the reference trace under the
+        // plan's hooks and at full speed.
         let trace = mcd_workloads::generator::generate_packed(&program, &inputs.reference);
-        let baseline = Simulator::new(mcfg)
-            .run(trace.iter(), &mut NullHooks, false)
-            .stats;
+        let simulator = Simulator::new(mcfg);
+        let stats = simulator.run(trace.iter(), &mut plan.hooks(), false).stats;
+        let baseline = simulator.run(trace.iter(), &mut NullHooks, false).stats;
         let metrics = RelativeMetrics::relative_to(&stats, &baseline);
         assert!(
             metrics.energy_savings > 0.05,

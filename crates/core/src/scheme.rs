@@ -30,7 +30,7 @@ use crate::online::OnlineController;
 use crate::pid::PidController;
 use crate::pipeline::schedule::ScheduleHooks;
 use crate::pipeline::{threshold_windows, AnalysisPipeline};
-use crate::profile::{self, instrumentation_plan, train_with_histograms, ProfilePlan};
+use crate::profile::{self, instrumentation_plan, ProfilePlan};
 use crate::sysscale::SysScaleController;
 use mcd_profiling::edit::InstrumentationPlan;
 use mcd_sim::simulator::{SimHooks, Simulator};
@@ -212,11 +212,8 @@ impl Pools {
                 || {
                     AnalysisPipeline::new(config.offline)
                         .with_parallelism(config.parallelism)
-                        .analyze_with_histograms(
-                            &Simulator::new(config.machine.clone()),
-                            ctx.reference_trace,
-                        )
-                        .1
+                        .histograms(&Simulator::new(config.machine.clone()), ctx.reference_trace)
+                        .0
                 },
             )
         })
@@ -236,14 +233,14 @@ impl Pools {
                     |bytes| codec::decode_training_histograms(bytes, grid),
                     |artifact| codec::encode_training_histograms(artifact, grid.len()),
                     || {
-                        let (plan, entries) = train_with_histograms(
+                        let (plan, entries, stats) = profile::training_histograms(
                             &ctx.benchmark.program,
                             &ctx.benchmark.inputs.training,
                             &config.machine,
                             &config.training,
                         );
-                        instrumentation.insert(*key, plan.instrumentation);
-                        TrainingHistogramsArtifact::from_entries(entries, plan.training_stats)
+                        instrumentation.insert(*key, plan);
+                        TrainingHistogramsArtifact::from_entries(entries, stats)
                     },
                 )
             })

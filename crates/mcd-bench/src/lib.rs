@@ -217,7 +217,7 @@ pub fn metric_figure(title: &str, metric: Metric, options: &Options) -> Result<(
 /// evaluations, in first-appearance order (evaluations from one registry keep
 /// its order; schemes that only appear in later rows are appended rather than
 /// dropped).
-fn scheme_columns(evals: &[BenchmarkEvaluation]) -> Vec<(String, String)> {
+pub(crate) fn scheme_columns(evals: &[BenchmarkEvaluation]) -> Vec<(String, String)> {
     let mut columns: Vec<(String, String)> = Vec::new();
     for eval in evals {
         for outcome in &eval.schemes {
@@ -291,11 +291,6 @@ pub mod format {
         }
         println!("{line}");
         println!("{}", "-".repeat(line.len().max(1)));
-    }
-
-    /// Pads a benchmark name to the standard column width.
-    pub fn name_cell(name: &str) -> String {
-        format!("{name:<16}")
     }
 }
 

@@ -41,7 +41,7 @@ use mcd_dvfs::scheme::names;
 use mcd_dvfs::service::{
     Admission, EvalEvent, EvalJob, Evaluator, Priority, RejectReason, ResultStream,
 };
-use mcd_dvfs::{FaultConfig, FaultPlan, FaultStats, RetryPolicy, RetryStats};
+use mcd_dvfs::{FaultConfig, FaultPlan, FaultStats, RetryStats};
 use mcd_sim::fingerprint::Fnv1a;
 use std::collections::HashMap;
 use std::path::Path;
@@ -306,11 +306,7 @@ pub fn run_chaos(
     workers: usize,
 ) -> Result<ChaosReport, McdError> {
     let faults = Arc::new(FaultPlan::new(fault_config));
-    let cache = Arc::new(
-        ArtifactCache::new(cache_dir)
-            .with_faults(Arc::clone(&faults))
-            .with_retry(RetryPolicy::new(3)),
-    );
+    let cache = Arc::new(ArtifactCache::new(cache_dir).with_faults(Arc::clone(&faults)));
     let config = EvaluationConfig {
         parallelism: 1,
         ..EvaluationConfig::default()

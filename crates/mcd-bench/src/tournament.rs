@@ -15,7 +15,7 @@
 //! plus overall, ordered by mean energy·delay improvement (the metric the
 //! paper treats as the headline trade-off).
 
-use crate::{format, Metric};
+use crate::{format, scheme_columns, Metric};
 use mcd_dvfs::error::McdError;
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig, Summary};
 use mcd_dvfs::service::{EvalJob, Evaluator};
@@ -63,20 +63,6 @@ struct SchemeAggregate {
     covered: usize,
 }
 
-/// The scheme columns of the tournament: union across evaluations in
-/// first-appearance order (one registry → registry order).
-fn columns(evals: &[BenchmarkEvaluation]) -> Vec<(String, String)> {
-    let mut columns: Vec<(String, String)> = Vec::new();
-    for eval in evals {
-        for outcome in &eval.schemes {
-            if !columns.iter().any(|(name, _)| *name == outcome.name) {
-                columns.push((outcome.name.clone(), outcome.label.clone()));
-            }
-        }
-    }
-    columns
-}
-
 /// Builds one metric matrix (benchmark rows × scheme columns, closing
 /// average row) as a string — the textual shape of
 /// [`crate::print_metric_table`], rendered instead of printed.
@@ -84,7 +70,7 @@ fn metric_matrix(title: &str, evals: &[BenchmarkEvaluation], metric: Metric) -> 
     let mut out = String::new();
     out.push_str(title);
     out.push_str("\n\n");
-    let schemes = columns(evals);
+    let schemes = scheme_columns(evals);
     let mut header = format!("{:>16}", "Benchmark");
     for (_, label) in &schemes {
         header.push_str(&format!("  {:>width$}", label, width = label.len().max(9)));
@@ -127,7 +113,7 @@ fn metric_matrix(title: &str, evals: &[BenchmarkEvaluation], metric: Metric) -> 
 /// total and stable).
 fn ranking(evals: &[BenchmarkEvaluation]) -> Vec<SchemeAggregate> {
     let mut aggregates: Vec<SchemeAggregate> = Vec::new();
-    for (name, label) in columns(evals) {
+    for (name, label) in scheme_columns(evals) {
         let mut slowdown = Vec::new();
         let mut energy = Vec::new();
         let mut energy_delay = Vec::new();
@@ -214,7 +200,7 @@ pub fn render(evals: &[BenchmarkEvaluation]) -> String {
     out.push_str(&format!(
         "MCD controller tournament — {} benchmark(s), {} scheme(s)\n\n",
         evals.len(),
-        columns(evals).len()
+        scheme_columns(evals).len()
     ));
     out.push_str(&metric_matrix(
         "== Slowdown (performance degradation vs MCD baseline) ==",

@@ -251,12 +251,6 @@ impl CallTree {
                 .sum::<u64>()
     }
 
-    /// Average instructions per instance of the subtree rooted at `id`.
-    pub fn average_instance_instructions(&self, id: NodeId) -> f64 {
-        let n = self.node(id).instances.max(1);
-        self.total_instructions(id) as f64 / n as f64
-    }
-
     /// The path signature of a node: the sequence of (kind, call-site) pairs
     /// from the root down to the node. Two nodes in different trees represent
     /// "the same node" (Table 3's *Common* column) when their signatures match.

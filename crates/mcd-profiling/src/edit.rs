@@ -182,33 +182,6 @@ impl InstrumentationPlan {
         keys
     }
 
-    /// The frequency-table key a long-running training-tree node contributes
-    /// to, or `None` if the node is not a reconfiguration point (e.g. a
-    /// long-running loop under a policy that does not track loops).
-    pub fn key_for_tree_node(&self, id: NodeId) -> Option<NodeKey> {
-        if !self.long_running.contains(id) {
-            return None;
-        }
-        let node = self.tree.node(id);
-        if self.policy.tracks_paths() {
-            match node.kind {
-                NodeKind::Loop(_) if !self.policy.tracks_loops() => None,
-                _ => Some(NodeKey::TreeNode(id)),
-            }
-        } else {
-            match node.kind {
-                NodeKind::Subroutine(sub) => Some(NodeKey::Subroutine(sub)),
-                NodeKind::Loop(l) => {
-                    if self.policy.tracks_loops() {
-                        Some(NodeKey::Loop(l))
-                    } else {
-                        None
-                    }
-                }
-            }
-        }
-    }
-
     /// Number of static reconfiguration points placed in the binary (distinct
     /// subroutines and loops that trigger a frequency change).
     pub fn static_reconfiguration_points(&self) -> usize {
@@ -253,15 +226,6 @@ impl InstrumentationPlan {
         let tracked_nodes = self.reaching.len() + 1;
         let subroutines = self.instrumented_subroutines.len() + 1;
         tracked_nodes * subroutines * 2 + freq_table
-    }
-
-    /// Whether the static subroutine carries instrumentation under this plan.
-    pub fn is_instrumented_subroutine(&self, sub: SubroutineId) -> bool {
-        if self.policy.tracks_paths() {
-            self.instrumented_subroutines.contains(&sub)
-        } else {
-            self.reconfig_subroutines.contains(&sub)
-        }
     }
 
     /// Creates a fresh run-time tracker for one simulated run of the edited

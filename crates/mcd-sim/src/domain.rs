@@ -122,12 +122,6 @@ pub struct PerDomain<T> {
 }
 
 impl<T> PerDomain<T> {
-    /// Creates a per-domain container from an explicit array in canonical order
-    /// (`FrontEnd`, `Integer`, `FloatingPoint`, `Memory`, `External`).
-    pub fn from_array(values: [T; Domain::COUNT]) -> Self {
-        PerDomain { values }
-    }
-
     /// Creates a per-domain container by evaluating `f` for each domain.
     pub fn from_fn(mut f: impl FnMut(Domain) -> T) -> Self {
         PerDomain {

@@ -61,11 +61,6 @@ impl PowerModel {
         let cycles = freq.time_to_cycles(span);
         Energy::new(self.idle_per_cycle[domain] * cycles * v_scale)
     }
-
-    /// The per-cycle idle weight of a domain (exposed for tests and reports).
-    pub fn idle_weight(&self, domain: Domain) -> f64 {
-        self.idle_per_cycle[domain]
-    }
 }
 
 impl Default for PowerModel {

@@ -43,11 +43,6 @@ impl FrequencySetting {
         }
     }
 
-    /// Creates a setting from explicit per-domain frequencies.
-    pub fn from_per_domain(freqs: PerDomain<MegaHertz>) -> Self {
-        FrequencySetting { freqs }
-    }
-
     /// Returns the requested frequency for `domain`.
     ///
     /// The external memory domain always reports 1 GHz (it cannot be scaled).

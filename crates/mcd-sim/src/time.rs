@@ -158,11 +158,6 @@ impl MegaHertz {
         self.0
     }
 
-    /// Returns the value in hertz.
-    pub fn as_hz(self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// Returns the period of one cycle at this frequency.
     pub fn period(self) -> TimeNs {
         TimeNs::new(1_000.0 / self.0)

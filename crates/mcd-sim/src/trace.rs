@@ -183,12 +183,6 @@ impl PackedTrace {
         self.instructions
     }
 
-    /// Approximate heap footprint in bytes (words plus side tables).
-    pub fn approx_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<PackedWord>()
-            + (self.mem_addrs.len() + self.branch_targets.len()) * 8
-    }
-
     /// A zero-copy cursor over the trace, yielding owned [`TraceItem`]s.
     pub fn iter(&self) -> PackedCursor<'_> {
         PackedCursor {

@@ -6,9 +6,11 @@
 use mcd_dvfs::artifact::{self, codec, ArtifactCache};
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig};
 use mcd_dvfs::offline::OfflineConfig;
-use mcd_dvfs::pipeline::AnalysisPipeline;
+use mcd_dvfs::offline::OfflineSchedule;
+use mcd_dvfs::pipeline::{schedule, threshold_windows, AnalysisPipeline};
 use mcd_dvfs::service::{EvalJob, Evaluator};
 use mcd_sim::config::MachineConfig;
+use mcd_sim::simulator::Simulator;
 use mcd_sim::trace::PackedTrace;
 use mcd_workloads::generator::generate_packed;
 use mcd_workloads::suite;
@@ -64,6 +66,17 @@ fn small_trace() -> PackedTrace {
     generate_packed(&bench.program, &bench.inputs.training).truncated(60_000)
 }
 
+/// The oracle's schedule for `trace` at `config`'s slowdown target.
+fn oracle_schedule(
+    trace: &PackedTrace,
+    machine: &MachineConfig,
+    config: OfflineConfig,
+) -> OfflineSchedule {
+    AnalysisPipeline::new(config)
+        .analyze_with_report(&Simulator::new(machine.clone()), trace)
+        .0
+}
+
 fn assert_evaluations_bit_identical(a: &BenchmarkEvaluation, b: &BenchmarkEvaluation) {
     assert_eq!(a.name, b.name);
     assert_eq!(a.baseline.run_time, b.baseline.run_time);
@@ -91,21 +104,30 @@ fn window_parallel_analysis_is_deterministic_across_parallelism_levels() {
     let trace = small_trace();
     let machine = MachineConfig::default();
     let config = OfflineConfig::default();
-    let serial = AnalysisPipeline::new(config).run(&trace, &machine);
-    assert!(!serial.schedule.is_empty());
+    let simulator = Simulator::new(machine.clone());
+    // Histograms, then thresholding, then the controlled replay.
+    let oracle = |workers: usize| {
+        let (windows, _) = AnalysisPipeline::new(config)
+            .with_parallelism(workers)
+            .histograms(&simulator, &trace);
+        let schedule = threshold_windows(&windows, config.slowdown, &machine.grid);
+        let stats =
+            schedule::replay_with(&simulator, &trace, &schedule, config.window_instructions);
+        (schedule, stats)
+    };
+    let (serial_schedule, serial_stats) = oracle(1);
+    assert!(!serial_schedule.is_empty());
     // At least three distinct parallelism levels, including counts that do
     // not divide the window count evenly.
     for workers in [2, 3, 5, 16] {
-        let parallel = AnalysisPipeline::new(config)
-            .with_parallelism(workers)
-            .run(&trace, &machine);
+        let (schedule, stats) = oracle(workers);
         assert_eq!(
-            serial.schedule, parallel.schedule,
+            serial_schedule, schedule,
             "schedule diverged at parallelism={workers}"
         );
         assert_eq!(
-            serial.stats.run_time.as_ns().to_bits(),
-            parallel.stats.run_time.as_ns().to_bits(),
+            serial_stats.run_time.as_ns().to_bits(),
+            stats.run_time.as_ns().to_bits(),
             "replay diverged at parallelism={workers}"
         );
     }
@@ -123,7 +145,7 @@ fn streaming_capture_memory_is_bounded_by_the_window() {
         window_instructions: 1_000,
         ..OfflineConfig::default()
     };
-    let simulator = mcd_sim::simulator::Simulator::new(machine.clone());
+    let simulator = Simulator::new(machine.clone());
     let window_events = 1_000 * mcd_sim::events::EVENTS_PER_INSTRUCTION;
     let total_events = trace.instructions() as usize * mcd_sim::events::EVENTS_PER_INSTRUCTION;
 
@@ -162,7 +184,7 @@ fn offline_schedule_cache_round_trip_is_bit_identical() {
     let trace = small_trace();
     let machine = MachineConfig::default();
     let config = OfflineConfig::default();
-    let schedule = AnalysisPipeline::new(config).analyze(&trace, &machine);
+    let schedule = oracle_schedule(&trace, &machine, config);
 
     let bench = suite::benchmark("gsm decode").unwrap();
     let key = artifact::offline_schedule_key(
@@ -220,7 +242,7 @@ fn version_mismatched_artifact_falls_back_to_recompute() {
     let trace = small_trace();
     let machine = MachineConfig::default();
     let config = OfflineConfig::default();
-    let schedule = AnalysisPipeline::new(config).analyze(&trace, &machine);
+    let schedule = oracle_schedule(&trace, &machine, config);
     let bench = suite::benchmark("gsm decode").unwrap();
     let key = artifact::offline_schedule_key(
         bench.name,
@@ -254,7 +276,7 @@ fn version_mismatched_artifact_falls_back_to_recompute() {
     assert_eq!(stats.errors, 1);
 
     // The evaluation path recomputes and produces the same schedule.
-    let recomputed = AnalysisPipeline::new(config).analyze(&trace, &machine);
+    let recomputed = oracle_schedule(&trace, &machine, config);
     assert_eq!(recomputed, schedule);
 }
 
