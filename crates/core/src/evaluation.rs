@@ -197,14 +197,6 @@ impl BenchmarkEvaluation {
     }
 }
 
-/// Runs the full-speed MCD baseline on the benchmark's reference input.
-pub fn run_baseline(bench: &Benchmark, machine: &MachineConfig) -> SimStats {
-    let trace = generate_packed(&bench.program, &bench.inputs.reference);
-    Simulator::new(machine.clone())
-        .run(trace.iter(), &mut NullHooks, false)
-        .stats
-}
-
 /// The MCD processor's inherent penalty versus a globally synchronous design
 /// (both at full speed): `(performance_penalty, energy_penalty)` as fractions.
 pub fn mcd_baseline_penalty(

@@ -22,10 +22,19 @@ pub struct ScheduleHooks<'a> {
 
 impl<'a> ScheduleHooks<'a> {
     /// Creates replay hooks for `schedule` with the given window length.
+    ///
+    /// # Panics
+    ///
+    /// If `window_instructions` is zero; [`crate::scheme::select`] rejects
+    /// such a window as a configuration error before any replay runs.
     pub fn new(schedule: &'a OfflineSchedule, window_instructions: u64) -> Self {
+        assert!(
+            window_instructions > 0,
+            "ScheduleHooks: the window length must be at least one instruction"
+        );
         ScheduleHooks {
             schedule,
-            window_instructions: window_instructions.max(1),
+            window_instructions,
         }
     }
 }
@@ -81,9 +90,9 @@ mod tests {
     }
 
     #[test]
-    fn hooks_clamp_a_zero_window() {
+    #[should_panic(expected = "at least one instruction")]
+    fn hooks_reject_a_zero_window() {
         let schedule = OfflineSchedule::from_settings(vec![FrequencySetting::full_speed()]);
-        let hooks = ScheduleHooks::new(&schedule, 0);
-        assert_eq!(hooks.instruction_window(), Some(1));
+        ScheduleHooks::new(&schedule, 0);
     }
 }

@@ -158,15 +158,23 @@ impl WindowPlan {
 /// Events keep their recording order within each window; dependence edges that
 /// cross a window boundary are dropped, exactly as the per-window analysis of
 /// the paper requires (each window is analysed as a closed region).
+///
+/// # Panics
+///
+/// If `window_instructions` is zero; [`crate::scheme::select`] rejects such
+/// a window as a configuration error before any analysis runs.
 pub fn slice_windows(captured: &CapturedTrace, window_instructions: u64) -> WindowPlan {
-    let window = window_instructions.max(1);
-    let count = captured.stats.instructions.div_ceil(window) as usize;
+    assert!(
+        window_instructions > 0,
+        "slice_windows: the window length must be at least one instruction"
+    );
+    let count = captured.stats.instructions.div_ceil(window_instructions) as usize;
     let mut slices = vec![EventTrace::new(); count];
     let events = captured.events.events();
 
     // Remap each event id to its dense id within its window's slice.
     let mut id_map = vec![u32::MAX; events.len()];
-    let window_of = |instr_index: u32| (instr_index as u64 / window) as usize;
+    let window_of = |instr_index: u32| (instr_index as u64 / window_instructions) as usize;
     for (i, ev) in events.iter().enumerate() {
         let w = window_of(ev.instr_index);
         if w < count {
@@ -185,7 +193,7 @@ pub fn slice_windows(captured: &CapturedTrace, window_instructions: u64) -> Wind
     }
 
     WindowPlan {
-        window_instructions: window,
+        window_instructions,
         slices,
     }
 }
@@ -262,10 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_window_length_is_clamped() {
-        let cap = captured();
-        let plan = slice_windows(&cap, 0);
-        assert_eq!(plan.window_instructions, 1);
-        assert_eq!(plan.len() as u64, cap.stats.instructions);
+    #[should_panic(expected = "at least one instruction")]
+    fn zero_window_length_panics() {
+        slice_windows(&captured(), 0);
     }
 }

@@ -7,14 +7,13 @@
 //! are selected, how often the production run reconfigures, and what that does
 //! to the energy/performance trade-off.
 
-use mcd_bench::{format, run_main, selected_benchmarks, Options, SuiteSelection};
-use mcd_dvfs::evaluation::run_baseline;
+use mcd_bench::{format, full_speed_stats, run_main, selected_benchmarks, Options, SuiteSelection};
 use mcd_dvfs::evaluation::Summary;
 use mcd_dvfs::profile::{train, TrainingConfig};
 use mcd_sim::config::MachineConfig;
 use mcd_sim::simulator::Simulator;
 use mcd_sim::stats::RelativeMetrics;
-use mcd_workloads::generator::generate_trace;
+use mcd_workloads::generator::generate_packed;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -26,11 +25,22 @@ fn run() -> Result<(), mcd_dvfs::error::McdError> {
     // compact subset of the selected tier (--suite picks the tier).
     let options = Options {
         quick: true,
-        ..Options::parse()
+        ..Options::parse()?
     };
     let benches = selected_benchmarks(&options, SuiteSelection::Paper)?;
     let machine = MachineConfig::default();
     let thresholds: [u64; 5] = [1_000, 5_000, 10_000, 50_000, 200_000];
+
+    // The threshold changes only the plan: each benchmark's reference trace
+    // and full-speed baseline serve every threshold.
+    let references: Vec<_> = benches
+        .iter()
+        .map(|bench| {
+            let trace = generate_packed(&bench.program, &bench.inputs.reference);
+            let baseline = full_speed_stats(&trace, &machine);
+            (trace, baseline)
+        })
+        .collect();
 
     println!("Ablation: long-running node threshold (L+F policy, suite subset).");
     println!();
@@ -41,27 +51,24 @@ fn run() -> Result<(), mcd_dvfs::error::McdError> {
     println!("{}", "-".repeat(86));
 
     for &threshold in &thresholds {
+        let config = TrainingConfig {
+            long_running_threshold: threshold,
+            ..TrainingConfig::default()
+        };
         let mut points = 0usize;
         let mut writes = 0u64;
         let mut overhead = 0.0f64;
         let mut slowdowns = Vec::new();
         let mut savings = Vec::new();
-        for bench in &benches {
-            let config = TrainingConfig {
-                long_running_threshold: threshold,
-                ..TrainingConfig::default()
-            };
+        for (bench, (reference, baseline)) in benches.iter().zip(&references) {
             let plan = train(&bench.program, &bench.inputs.training, &machine, &config);
             points += plan.instrumentation.static_reconfiguration_points();
-            let reference = generate_trace(&bench.program, &bench.inputs.reference);
-            let baseline = run_baseline(bench, &machine);
-            let mut hooks = plan.hooks();
             let stats = Simulator::new(machine.clone())
-                .run(reference, &mut hooks, false)
+                .run(reference.iter(), &mut plan.hooks(), false)
                 .stats;
             writes += stats.reconfigurations;
             overhead += stats.overhead_cycles;
-            let m = RelativeMetrics::relative_to(&stats, &baseline);
+            let m = RelativeMetrics::relative_to(&stats, baseline);
             slowdowns.push(m.performance_degradation);
             savings.push(m.energy_savings);
         }

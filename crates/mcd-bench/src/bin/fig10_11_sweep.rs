@@ -13,7 +13,8 @@
 //! independently — only the wall clock (and the stderr statistics) differ.
 
 use mcd_bench::{
-    default_config, report_cache, run_main, selected_benchmarks, Options, SuiteSelection,
+    default_config, report_batch, report_cache, run_main, selected_benchmarks, Options,
+    SuiteSelection,
 };
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, Summary};
 use mcd_dvfs::online::OnlineConfig;
@@ -46,7 +47,7 @@ fn print_row(series: &str, parameter: &str, means: (f64, f64, f64)) {
 
 fn main() -> ExitCode {
     run_main(|| {
-        let options = Options::parse();
+        let options = Options::parse()?;
         // The sweep multiplies run time by the number of points, so it always
         // uses a compact subset unless --full is given explicitly; --suite
         // picks the tier the sweep (and its subset rule) applies to.
@@ -149,25 +150,7 @@ fn main() -> ExitCode {
             );
         }
 
-        let memo = evaluator.memo_stats();
-        eprintln!(
-            "  reference traces: {} produced, {} reused across {} lookups",
-            memo.misses,
-            memo.hits,
-            memo.lookups()
-        );
-        let batch = evaluator.batch_stats();
-        eprintln!(
-            "  batches: {} groups, {} members; baselines {} computed, {} reused; \
-             {} batched passes, {} lanes ({:.1} lanes/pass)",
-            batch.groups,
-            batch.members,
-            batch.baselines_computed,
-            batch.baselines_reused,
-            batch.passes,
-            batch.lanes,
-            batch.lanes_per_pass()
-        );
+        report_batch(&evaluator);
         report_cache();
         Ok(())
     })

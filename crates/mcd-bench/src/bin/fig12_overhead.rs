@@ -2,15 +2,15 @@
 //! run-time instrumentation overhead, for each context policy, normalized to
 //! L+F+C+P (averaged across the suite).
 
-use mcd_bench::{run_main, selected_benchmarks, Options, SuiteSelection};
+use mcd_bench::{
+    full_speed_stats, replay_instrumentation, run_main, selected_benchmarks, Options,
+    SuiteSelection,
+};
 use mcd_dvfs::evaluation::Summary;
-use mcd_profiling::call_tree::CallTree;
-use mcd_profiling::candidates::LongRunningSet;
+use mcd_dvfs::profile::{instrumentation_plan, TrainingConfig};
 use mcd_profiling::context::ContextPolicy;
-use mcd_profiling::edit::InstrumentationPlan;
 use mcd_sim::config::MachineConfig;
-use mcd_sim::simulator::Simulator;
-use mcd_workloads::generator::generate_trace;
+use mcd_workloads::generator::generate_packed;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -18,7 +18,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), mcd_dvfs::error::McdError> {
-    let benches = selected_benchmarks(&Options::parse(), SuiteSelection::Paper)?;
+    let benches = selected_benchmarks(&Options::parse()?, SuiteSelection::Paper)?;
     let machine = MachineConfig::default();
     let policies = ContextPolicy::ALL;
 
@@ -30,34 +30,24 @@ fn run() -> Result<(), mcd_dvfs::error::McdError> {
 
     for bench in &benches {
         eprintln!("  analysing {} ...", bench.name);
-        let train_trace = generate_trace(&bench.program, &bench.inputs.training);
-        let ref_trace = generate_trace(&bench.program, &bench.inputs.reference);
-        for (pi, policy) in policies.iter().enumerate() {
-            let tree = CallTree::build(&train_trace, *policy);
-            let lr = LongRunningSet::identify(&tree);
-            let plan = InstrumentationPlan::new(tree, lr, *policy);
+        let training = generate_packed(&bench.program, &bench.inputs.training);
+        let reference = generate_packed(&bench.program, &bench.inputs.reference);
+        // Overhead is a fraction of the baseline run time (in 1 GHz cycles =
+        // ns), which no policy changes.
+        let baseline_ns = full_speed_stats(&reference, &machine).run_time.as_ns();
+        for (pi, &policy) in policies.iter().enumerate() {
+            let config = TrainingConfig {
+                policy,
+                ..TrainingConfig::default()
+            };
+            let plan = instrumentation_plan(&training, &config);
             reconfig_points[pi].push(plan.static_reconfiguration_points() as f64);
             instr_points[pi].push(plan.static_instrumentation_points() as f64);
 
-            // Run the reference input once per policy, charging only the
-            // instrumentation overhead (no reconfiguration), to isolate the
-            // instrumentation cost exactly as the paper does.
-            let mut tracker = plan.tracker();
-            let mut total_overhead = 0.0;
-            for item in &ref_trace {
-                if let Some(m) = item.as_marker() {
-                    total_overhead += tracker.on_marker(m).overhead_cycles;
-                }
-            }
-            // Overhead fraction of the baseline run time (in 1 GHz cycles = ns).
-            let baseline = Simulator::new(machine.clone())
-                .run(
-                    ref_trace.iter().copied(),
-                    &mut mcd_sim::simulator::NullHooks,
-                    false,
-                )
-                .stats;
-            overheads[pi].push(total_overhead / baseline.run_time.as_ns());
+            // Replay only the instrumentation over the reference input (no
+            // reconfiguration), to isolate its cost exactly as the paper does.
+            let tracker = replay_instrumentation(&plan, &reference);
+            overheads[pi].push(tracker.overhead_cycles() / baseline_ns);
         }
     }
 

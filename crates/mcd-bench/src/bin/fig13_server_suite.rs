@@ -10,14 +10,14 @@
 //! second-tier benchmarks (the tier is already small).
 
 use mcd_bench::{
-    default_config, evaluate_all, print_metric_table, report_cache, run_main, selected_benchmarks,
+    default_config, evaluate_all, metric_table, report_cache, run_main, selected_benchmarks,
     Metric, Options, SuiteSelection,
 };
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     run_main(|| {
-        let options = Options::parse();
+        let options = Options::parse()?;
         let benches = selected_benchmarks(&options, SuiteSelection::Tier2)?;
         let config = default_config(&options, true);
         let evals = evaluate_all(&benches, &config)?;
@@ -36,8 +36,7 @@ fn main() -> ExitCode {
                 Metric::EnergyDelay,
             ),
         ] {
-            print_metric_table(title, &evals, metric);
-            println!();
+            println!("{}", metric_table(title, &evals, metric));
         }
         report_cache();
         Ok(())

@@ -11,7 +11,7 @@ fn main() -> ExitCode {
         metric_figure(
             "Figure 4. Performance degradation results (relative to the MCD baseline).",
             Metric::Slowdown,
-            &Options::parse(),
+            &Options::parse()?,
         )
     })
 }

@@ -11,7 +11,7 @@ fn main() -> ExitCode {
         metric_figure(
             "Figure 5. Energy savings results (relative to the MCD baseline).",
             Metric::EnergySavings,
-            &Options::parse(),
+            &Options::parse()?,
         )
     })
 }

@@ -11,7 +11,7 @@ fn main() -> ExitCode {
         metric_figure(
             "Figure 6. Energy-delay improvement results (relative to the MCD baseline).",
             Metric::EnergyDelay,
-            &Options::parse(),
+            &Options::parse()?,
         )
     })
 }

@@ -3,15 +3,15 @@
 //! registry (global DVS included).
 
 use mcd_bench::{
-    default_config, evaluate_all, report_cache, run_main, selected_benchmarks, Metric, Options,
-    SuiteSelection,
+    default_config, evaluate_all, report_cache, run_main, scheme_columns, selected_benchmarks,
+    Metric, Options, SuiteSelection,
 };
 use mcd_dvfs::evaluation::Summary;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     run_main(|| {
-        let options = Options::parse();
+        let options = Options::parse()?;
         let benches = selected_benchmarks(&options, SuiteSelection::Paper)?;
         let config = default_config(&options, true);
         let evals = evaluate_all(&benches, &config)?;
@@ -22,22 +22,14 @@ fn main() -> ExitCode {
         println!("{:<26} {:>8} {:>8} {:>8}", "series", "min", "avg", "max");
         println!("{}", "-".repeat(54));
 
-        let scheme_labels: Vec<(String, String)> = evals
-            .first()
-            .map(|e| {
-                e.schemes
-                    .iter()
-                    .map(|o| (o.name.clone(), o.label.clone()))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let columns = scheme_columns(&evals);
 
         for (series, metric) in [
             ("slowdown", Metric::Slowdown),
             ("energy", Metric::EnergySavings),
             ("energy-delay", Metric::EnergyDelay),
         ] {
-            for (name, label) in &scheme_labels {
+            for (name, label) in &columns {
                 let values: Vec<f64> = evals
                     .iter()
                     .filter_map(|e| e.result(name).map(|r| metric.of(&r.metrics)))

@@ -4,10 +4,13 @@
 //! applu and art).
 //!
 //! One [`Evaluator`] serves the whole study: each (benchmark, policy) point
-//! is a job restricted to the profile scheme, and the per-benchmark reference
-//! trace and baseline are memoized across the six policies.
+//! is a job restricted to the profile scheme, and each benchmark's six
+//! policy jobs form one batched group ([`EvalJob::batch`]), so the group
+//! shares one reference trace and one baseline lane.
 
-use mcd_bench::{default_config, format, report_cache, run_main, Options, SuiteSelection};
+use mcd_bench::{
+    default_config, format, report_batch, report_cache, run_main, Options, SuiteSelection,
+};
 use mcd_dvfs::error::find_benchmark;
 use mcd_dvfs::scheme::names;
 use mcd_dvfs::service::{EvalJob, Evaluator};
@@ -16,7 +19,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     run_main(|| {
-        let options = Options::parse();
+        let options = Options::parse()?;
         // This study runs a fixed benchmark list (the programs where the
         // context policy visibly matters), so a tier selection cannot apply;
         // still validate the value, and say so instead of silently ignoring.
@@ -49,7 +52,7 @@ fn main() -> ExitCode {
                         .with_schemes([names::PROFILE])
                 })
                 .collect();
-            rows.push((bench.name, evaluator.submit_all(jobs)));
+            rows.push((bench.name, evaluator.submit_batch(EvalJob::batch(jobs)?)));
         }
 
         println!("Figures 8 and 9. Sensitivity to the definition of calling context.");
@@ -59,7 +62,7 @@ fn main() -> ExitCode {
         for p in &policies {
             cols.push((p.abbreviation(), 15));
         }
-        format::header(&cols);
+        print!("{}", format::header(&cols));
 
         for (name, stream) in rows {
             let evals = stream.collect()?;
@@ -74,17 +77,7 @@ fn main() -> ExitCode {
             }
             println!();
         }
-        let memo = evaluator.memo_stats();
-        let batch = evaluator.batch_stats();
-        eprintln!(
-            "  reference traces: {} produced, {} reused across {} jobs; \
-             baselines: {} computed, {} reused",
-            memo.misses,
-            memo.hits,
-            memo.lookups(),
-            batch.baselines_computed,
-            batch.baselines_reused
-        );
+        report_batch(&evaluator);
         report_cache();
         Ok(())
     })

@@ -10,7 +10,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     run_main(|| {
-        let benches = selected_benchmarks(&Options::parse(), SuiteSelection::Paper)?;
+        let benches = selected_benchmarks(&Options::parse()?, SuiteSelection::Paper)?;
         let machine = MachineConfig::default();
 
         println!(

@@ -2,43 +2,62 @@
 //! nodes when profiling with the training versus the reference input, the
 //! nodes common to both, and the coverage fractions — under the most
 //! aggressive context definition (L+F+C+P).
+//!
+//! Defaults to the paper's nineteen benchmarks; `--quick` and `--suite`
+//! select benchmarks as in every other binary.
 
-use mcd_profiling::call_tree::CallTree;
-use mcd_profiling::candidates::LongRunningSet;
+use mcd_bench::{run_main, selected_benchmarks, Options, SuiteSelection};
+use mcd_dvfs::profile::{instrumentation_plan, TrainingConfig};
 use mcd_profiling::context::ContextPolicy;
 use mcd_profiling::coverage::CoverageReport;
-use mcd_workloads::generator::generate_trace;
-use mcd_workloads::suite::suite;
+use mcd_workloads::generator::generate_packed;
+use std::process::ExitCode;
 
-fn main() {
-    println!("Table 3. Reconfiguration nodes / total call-tree nodes when profiling with");
-    println!("the training and reference input sets (L+F+C+P).");
-    println!();
-    println!(
-        "{:<16} {:>12} {:>12} {:>12} {:>14}",
-        "Benchmark", "TRAIN", "REF", "Common", "Coverage"
-    );
-    println!("{}", "-".repeat(72));
+fn main() -> ExitCode {
+    run_main(|| {
+        let benches = selected_benchmarks(&Options::parse()?, SuiteSelection::Paper)?;
+        let config = TrainingConfig {
+            policy: ContextPolicy::LoopFuncSitePath,
+            ..TrainingConfig::default()
+        };
 
-    for bench in suite() {
-        let train_trace = generate_trace(&bench.program, &bench.inputs.training);
-        let ref_trace = generate_trace(&bench.program, &bench.inputs.reference);
-        let train_tree = CallTree::build(&train_trace, ContextPolicy::LoopFuncSitePath);
-        let ref_tree = CallTree::build(&ref_trace, ContextPolicy::LoopFuncSitePath);
-        let train_lr = LongRunningSet::identify(&train_tree);
-        let ref_lr = LongRunningSet::identify(&ref_tree);
-        let report = CoverageReport::compare(&train_tree, &train_lr, &ref_tree, &ref_lr);
+        println!("Table 3. Reconfiguration nodes / total call-tree nodes when profiling with");
+        println!("the training and reference input sets (L+F+C+P).");
+        println!();
         println!(
-            "{:<16} {:>5} {:>5} {:>6} {:>5} {:>6} {:>5} {:>7.2} {:>6.2}",
-            bench.name,
-            report.train_long_running,
-            report.train_total,
-            report.reference_long_running,
-            report.reference_total,
-            report.common_long_running,
-            report.common_total,
-            report.long_running_coverage(),
-            report.total_coverage(),
+            "{:<16} {:>12} {:>12} {:>12} {:>14}",
+            "Benchmark", "TRAIN", "REF", "Common", "Coverage"
         );
-    }
+        println!("{}", "-".repeat(72));
+
+        for bench in &benches {
+            let train = instrumentation_plan(
+                &generate_packed(&bench.program, &bench.inputs.training),
+                &config,
+            );
+            let reference = instrumentation_plan(
+                &generate_packed(&bench.program, &bench.inputs.reference),
+                &config,
+            );
+            let report = CoverageReport::compare(
+                train.tree(),
+                train.long_running(),
+                reference.tree(),
+                reference.long_running(),
+            );
+            println!(
+                "{:<16} {:>5} {:>5} {:>6} {:>5} {:>6} {:>5} {:>7.2} {:>6.2}",
+                bench.name,
+                report.train_long_running,
+                report.train_total,
+                report.reference_long_running,
+                report.reference_total,
+                report.common_long_running,
+                report.common_total,
+                report.long_running_coverage(),
+                report.total_coverage(),
+            );
+        }
+        Ok(())
+    })
 }

@@ -14,18 +14,18 @@
 //! counters go to stderr for the CI cold/warm smoke.
 
 use mcd_bench::{
-    default_config, report_cache, run_main, selected_benchmarks, tournament, Options,
+    default_config, evaluate_all, report_cache, run_main, selected_benchmarks, tournament, Options,
     SuiteSelection,
 };
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     run_main(|| {
-        let options = Options::parse();
+        let options = Options::parse()?;
         let benches = selected_benchmarks(&options, SuiteSelection::All)?;
         let mut config = default_config(&options, true);
         config.include_zoo = true;
-        let evals = tournament::run(&benches, &config)?;
+        let evals = evaluate_all(&benches, &config)?;
         print!("{}", tournament::render(&evals));
         report_cache();
         Ok(())

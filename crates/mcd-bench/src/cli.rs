@@ -62,65 +62,64 @@ pub struct Options {
     /// (validated by [`Options::suite_selection`]). `None` means the
     /// binary's default tier.
     pub suite: Option<String>,
-    /// Positional arguments that are not flags (e.g. a benchmark name).
-    pub free: Vec<String>,
 }
 
 impl Options {
     /// Parses the process arguments and environment.
-    pub fn parse() -> Options {
+    pub fn parse() -> Result<Options, McdError> {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Options::from_args(&args, |key| std::env::var(key).ok())
     }
 
     /// Parses explicit arguments with an explicit environment lookup —
     /// the testable core of [`Options::parse`]. Flags win over environment
-    /// variables; unknown arguments land in [`Options::free`].
-    pub fn from_args(args: &[String], env: impl Fn(&str) -> Option<String>) -> Options {
+    /// variables; an empty variable counts as unset.
+    ///
+    /// An unknown argument, a `--jobs` / `MCD_JOBS` value that is not a
+    /// positive integer, and a `--suite` without a value are
+    /// [`McdError::InvalidConfig`].
+    pub fn from_args(
+        args: &[String],
+        env: impl Fn(&str) -> Option<String>,
+    ) -> Result<Options, McdError> {
         let mut options = Options::default();
-        let mut iter = args.iter().peekable();
+        let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--quick" | "quick" => options.quick = true,
                 "--full" => options.full = true,
                 "--no-cache" => options.no_cache = true,
-                "--jobs" => {
-                    // Only consume the next argument when it really is a
-                    // count, so `--jobs --quick` does not swallow the flag.
-                    options.jobs = iter
-                        .peek()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n > 0);
-                    if options.jobs.is_some() {
-                        iter.next();
+                "--jobs" => options.jobs = Some(parse_jobs("--jobs", iter.next())?),
+                "--suite" => match iter.next() {
+                    Some(value) if !value.starts_with("--") => options.suite = Some(value.clone()),
+                    _ => {
+                        return Err(McdError::InvalidConfig(
+                            "--suite needs a value (paper, server, interactive, tier2 or all)"
+                                .to_string(),
+                        ))
                     }
+                },
+                other => {
+                    return Err(McdError::InvalidConfig(format!(
+                        "unknown argument `{other}` (expected --quick, --full, --no-cache, \
+                         --jobs N or --suite <tier>)"
+                    )))
                 }
-                "--suite" => {
-                    // Only consume the next argument when it is a value, so
-                    // `--suite --quick` does not swallow the flag.
-                    options.suite = iter
-                        .peek()
-                        .filter(|v| !v.starts_with("--"))
-                        .map(|v| v.to_string());
-                    if options.suite.is_some() {
-                        iter.next();
-                    }
-                }
-                _ => options.free.push(arg.clone()),
             }
         }
-        let env_flag = |key: &str| env(key).map(|v| v == "1").unwrap_or(false);
+        let env = |key: &str| env(key).filter(|v| !v.is_empty());
+        let env_flag = |key: &str| env(key).is_some_and(|v| v == "1");
         options.quick = options.quick || env_flag("MCD_QUICK");
         options.no_cache = options.no_cache || env_flag("MCD_NO_CACHE");
         if options.jobs.is_none() {
-            options.jobs = env("MCD_JOBS")
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0);
+            if let Some(value) = env("MCD_JOBS") {
+                options.jobs = Some(parse_jobs("MCD_JOBS", Some(&value))?);
+            }
         }
         if options.suite.is_none() {
-            options.suite = env("MCD_SUITE").filter(|v| !v.is_empty());
+            options.suite = env("MCD_SUITE");
         }
-        options
+        Ok(options)
     }
 
     /// The validated workload-tier selection, defaulting to `default` when
@@ -143,6 +142,20 @@ impl Options {
     }
 }
 
+/// Parses a thread count given to `source` (`--jobs` or `MCD_JOBS`), which
+/// must be a positive integer.
+fn parse_jobs(source: &str, value: Option<&String>) -> Result<usize, McdError> {
+    value
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .ok_or_else(|| {
+            McdError::InvalidConfig(format!(
+                "{source} needs a positive integer, got `{}`",
+                value.map_or("", |v| v.as_str())
+            ))
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,22 +168,32 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(list: &[&str]) -> Result<Options, McdError> {
+        Options::from_args(&args(list), no_env)
+    }
+
+    fn rejected(result: Result<Options, McdError>) -> String {
+        match result {
+            Err(McdError::InvalidConfig(message)) => message,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn flags_parse_and_leftovers_stay_free() {
-        let parsed = Options::from_args(
-            &args(&["--quick", "--no-cache", "mpeg2 decode", "--full"]),
-            no_env,
-        );
+    fn flags_parse_and_unknown_arguments_are_rejected() {
+        let parsed = parse(&["--quick", "--no-cache", "--full"]).unwrap();
         assert!(parsed.quick && parsed.no_cache && parsed.full);
-        assert_eq!(parsed.free, vec!["mpeg2 decode".to_string()]);
         assert_eq!(parsed.jobs, None);
+        // A misspelt flag or a stray positional argument is an error, not a
+        // silently ignored leftover.
+        assert!(rejected(parse(&["--quik"])).contains("`--quik`"));
+        assert!(rejected(parse(&["--quick", "mpeg2 decode"])).contains("`mpeg2 decode`"));
     }
 
     #[test]
     fn bare_quick_keyword_is_accepted() {
-        let parsed = Options::from_args(&args(&["quick"]), no_env);
+        let parsed = parse(&["quick"]).unwrap();
         assert!(parsed.quick);
-        assert!(parsed.free.is_empty());
     }
 
     #[test]
@@ -181,7 +204,7 @@ mod tests {
             "MCD_JOBS" => Some("3".to_string()),
             _ => None,
         };
-        let parsed = Options::from_args(&[], env);
+        let parsed = Options::from_args(&[], env).unwrap();
         assert!(parsed.quick);
         assert!(!parsed.no_cache);
         assert_eq!(parsed.jobs, Some(3));
@@ -191,20 +214,21 @@ mod tests {
     #[test]
     fn explicit_jobs_flag_beats_the_environment() {
         let env = |key: &str| (key == "MCD_JOBS").then(|| "7".to_string());
-        let parsed = Options::from_args(&args(&["--jobs", "2"]), env);
+        let parsed = Options::from_args(&args(&["--jobs", "2"]), env).unwrap();
         assert_eq!(parsed.jobs, Some(2));
     }
 
     #[test]
     fn jobs_does_not_swallow_a_following_flag() {
-        let parsed = Options::from_args(&args(&["--jobs", "--quick"]), no_env);
-        assert_eq!(parsed.jobs, None);
-        assert!(parsed.quick, "--quick must survive a valueless --jobs");
+        // `--jobs --quick` is a `--jobs` without a count, not a count of
+        // `--quick`; a trailing `--jobs` has no count either.
+        assert!(rejected(parse(&["--jobs", "--quick"])).contains("--jobs"));
+        assert!(rejected(parse(&["--quick", "--jobs"])).contains("--jobs"));
     }
 
     #[test]
     fn suite_flag_parses_and_validates() {
-        let parsed = Options::from_args(&args(&["--suite", "server", "--quick"]), no_env);
+        let parsed = parse(&["--suite", "server", "--quick"]).unwrap();
         assert_eq!(parsed.suite.as_deref(), Some("server"));
         assert_eq!(
             parsed.suite_selection(SuiteSelection::Paper).unwrap(),
@@ -224,7 +248,7 @@ mod tests {
         // Unknown values surface as configuration errors.
         assert!(SuiteSelection::parse("bogus").is_err());
         // Default applies when the flag is absent.
-        let parsed = Options::from_args(&[], no_env);
+        let parsed = parse(&[]).unwrap();
         assert_eq!(
             parsed.suite_selection(SuiteSelection::Tier2).unwrap(),
             SuiteSelection::Tier2
@@ -233,22 +257,25 @@ mod tests {
 
     #[test]
     fn suite_does_not_swallow_a_following_flag_and_env_backs_it_up() {
-        let parsed = Options::from_args(&args(&["--suite", "--quick"]), no_env);
-        assert_eq!(parsed.suite, None);
-        assert!(parsed.quick, "--quick must survive a valueless --suite");
+        assert!(rejected(parse(&["--suite", "--quick"])).contains("--suite"));
+        assert!(rejected(parse(&["--suite"])).contains("--suite"));
         let env = |key: &str| (key == "MCD_SUITE").then(|| "interactive".to_string());
-        let parsed = Options::from_args(&[], env);
+        let parsed = Options::from_args(&[], env).unwrap();
         assert_eq!(parsed.suite.as_deref(), Some("interactive"));
-        let parsed = Options::from_args(&args(&["--suite", "server"]), env);
+        let parsed = Options::from_args(&args(&["--suite", "server"]), env).unwrap();
         assert_eq!(parsed.suite.as_deref(), Some("server"), "flag beats env");
     }
 
     #[test]
-    fn invalid_jobs_values_fall_back_to_auto() {
-        let parsed = Options::from_args(&args(&["--jobs", "zero"]), no_env);
-        assert_eq!(parsed.jobs, None);
-        let env = |key: &str| (key == "MCD_JOBS").then(|| "0".to_string());
-        let parsed = Options::from_args(&[], env);
+    fn invalid_jobs_values_are_rejected() {
+        for value in ["zero", "0", "-2", "1.5"] {
+            assert!(rejected(parse(&["--jobs", value])).contains(&format!("`{value}`")));
+            let env = |key: &str| (key == "MCD_JOBS").then(|| value.to_string());
+            assert!(rejected(Options::from_args(&[], env)).contains("MCD_JOBS"));
+        }
+        // An empty variable is unset, so the budget falls back to every core.
+        let env = |key: &str| (key == "MCD_JOBS").then(String::new);
+        let parsed = Options::from_args(&[], env).unwrap();
         assert_eq!(parsed.jobs, None);
         assert!(parsed.parallelism() >= 1);
     }

@@ -4,9 +4,10 @@
 //! Each binary in `src/bin/` reproduces one table or figure; this library
 //! provides the common pieces: one flag parser ([`cli::Options`]), the
 //! evaluation configuration, suite selection, the [`Evaluator`]-backed batch
-//! entry point with streamed progress, scheme-agnostic metric tables,
-//! error-reporting `main` plumbing, and plain-text formatting that mirrors
-//! the rows/series the paper reports.
+//! entry point with streamed progress and one stderr counter line,
+//! scheme-agnostic metric tables, the instrumentation replay behind Table 4
+//! and Figure 12, error-reporting `main` plumbing, and plain-text formatting
+//! that mirrors the rows/series the paper reports.
 
 #![warn(missing_docs)]
 
@@ -17,8 +18,12 @@ pub mod tournament;
 use mcd_dvfs::artifact::ArtifactCache;
 use mcd_dvfs::error::McdError;
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig, Summary};
-use mcd_dvfs::service::{EvalEvent, EvalJob, Evaluator, ResultStream};
-use mcd_sim::stats::RelativeMetrics;
+use mcd_dvfs::service::{EvalEvent, EvalJob, Evaluator};
+use mcd_profiling::edit::{InstrumentationPlan, RuntimeTracker};
+use mcd_sim::config::MachineConfig;
+use mcd_sim::simulator::{NullHooks, Simulator};
+use mcd_sim::stats::{RelativeMetrics, SimStats};
+use mcd_sim::trace::PackedTrace;
 use mcd_workloads::suite::{self, Benchmark, SuiteKind};
 use std::sync::{Arc, OnceLock};
 
@@ -136,26 +141,10 @@ pub fn default_config(options: &Options, include_global: bool) -> EvaluationConf
     .with_cache(shared_cache(options))
 }
 
-/// Drains a [`ResultStream`], narrating per-job progress on stderr as events
-/// arrive, and returns the evaluations in submission order — the harness's
-/// standard way of consuming a submission.
-pub fn collect_streaming(stream: ResultStream) -> Result<Vec<BenchmarkEvaluation>, McdError> {
-    stream.collect_with(|event| match event {
-        EvalEvent::JobCompleted { evaluation, .. } => {
-            eprintln!("    {}: done", evaluation.name);
-        }
-        EvalEvent::JobFailed {
-            benchmark, error, ..
-        } => {
-            eprintln!("    {benchmark}: FAILED: {error}");
-        }
-        _ => {}
-    })
-}
-
 /// Evaluates every benchmark in `benches` under `config` through one
-/// [`Evaluator`], one job per benchmark, streaming per-benchmark progress to
-/// stderr.
+/// [`Evaluator`], one job per benchmark, narrating per-job progress on stderr
+/// as events arrive and closing with the evaluator's counter line
+/// ([`report_batch`]). Evaluations return in submission order.
 ///
 /// Sweeps that evaluate many configurations should build one [`Evaluator`]
 /// themselves and submit every configuration's jobs to it, so reference
@@ -175,7 +164,66 @@ pub fn evaluate_all(
         .workers(workers)
         .build();
     let jobs = benches.iter().cloned().map(EvalJob::new).collect();
-    collect_streaming(evaluator.submit_all(jobs))
+    let evals = evaluator
+        .submit_all(jobs)
+        .collect_with(|event| match event {
+            EvalEvent::JobCompleted { evaluation, .. } => {
+                eprintln!("    {}: done", evaluation.name);
+            }
+            EvalEvent::JobFailed {
+                benchmark, error, ..
+            } => {
+                eprintln!("    {benchmark}: FAILED: {error}");
+            }
+            _ => {}
+        })?;
+    report_batch(&evaluator);
+    Ok(evals)
+}
+
+/// Reports `evaluator`'s batch and reference-trace memo counters on stderr
+/// as one machine-greppable line (`mcd-batch: groups=... passes=... ...`,
+/// read by the CI tournament smoke like the cache line).
+pub fn report_batch(evaluator: &Evaluator) {
+    let b = evaluator.batch_stats();
+    let memo = evaluator.memo_stats();
+    eprintln!(
+        "mcd-batch: groups={} members={} passes={} lanes={} baselines_computed={} \
+         baselines_reused={} traces_produced={} traces_reused={}",
+        b.groups,
+        b.members,
+        b.passes,
+        b.lanes,
+        b.baselines_computed,
+        b.baselines_reused,
+        memo.misses,
+        memo.hits
+    );
+}
+
+/// Runs `trace` at full speed on `machine`: the baseline every relative
+/// metric and overhead fraction is measured against.
+pub fn full_speed_stats(trace: &PackedTrace, machine: &MachineConfig) -> SimStats {
+    Simulator::new(machine.clone())
+        .run(trace.iter(), &mut NullHooks, false)
+        .stats
+}
+
+/// Feeds every marker of `trace` to a fresh run-time tracker of `plan`,
+/// returning the tracker with the run's dynamic instrumentation counts and
+/// overhead cycles (Table 4 and Figure 12). Only the instrumentation is
+/// emulated: nothing is simulated and nothing reconfigures.
+pub fn replay_instrumentation<'a>(
+    plan: &'a InstrumentationPlan,
+    trace: &PackedTrace,
+) -> RuntimeTracker<'a> {
+    let mut tracker = plan.tracker();
+    for item in trace.iter() {
+        if let Some(marker) = item.as_marker() {
+            tracker.on_marker(marker);
+        }
+    }
+    tracker
 }
 
 /// One of the paper's three headline metrics.
@@ -208,7 +256,7 @@ pub fn metric_figure(title: &str, metric: Metric, options: &Options) -> Result<(
     let benches = selected_benchmarks(options, SuiteSelection::Paper)?;
     let config = default_config(options, false);
     let evals = evaluate_all(&benches, &config)?;
-    print_metric_table(title, &evals, metric);
+    print!("{}", metric_table(title, &evals, metric));
     report_cache();
     Ok(())
 }
@@ -217,7 +265,7 @@ pub fn metric_figure(title: &str, metric: Metric, options: &Options) -> Result<(
 /// evaluations, in first-appearance order (evaluations from one registry keep
 /// its order; schemes that only appear in later rows are appended rather than
 /// dropped).
-pub(crate) fn scheme_columns(evals: &[BenchmarkEvaluation]) -> Vec<(String, String)> {
+pub fn scheme_columns(evals: &[BenchmarkEvaluation]) -> Vec<(String, String)> {
     let mut columns: Vec<(String, String)> = Vec::new();
     for eval in evals {
         for outcome in &eval.schemes {
@@ -229,49 +277,45 @@ pub(crate) fn scheme_columns(evals: &[BenchmarkEvaluation]) -> Vec<(String, Stri
     columns
 }
 
-/// Prints one per-benchmark, per-scheme metric table with a closing average
-/// row. Columns are the union of schemes over all evaluations, so rows from
+/// Renders one per-benchmark, per-scheme metric table with a closing
+/// average row, in the layout of [`format::header`]. Columns are the union
+/// of schemes over all evaluations ([`scheme_columns`]), so rows from
 /// different registries align by name and every scheme is shown; a row that
-/// lacks a column's scheme prints "-".
-pub fn print_metric_table(title: &str, evals: &[BenchmarkEvaluation], metric: Metric) {
-    println!("{title}");
-    println!();
+/// lacks a column's scheme shows "-".
+pub fn metric_table(title: &str, evals: &[BenchmarkEvaluation], metric: Metric) -> String {
+    let mut out = format!("{title}\n\n");
     if evals.is_empty() {
-        println!("(no benchmarks selected)");
-        return;
+        out.push_str("(no benchmarks selected)\n");
+        return out;
     }
     let schemes = scheme_columns(evals);
     let mut columns: Vec<(&str, usize)> = vec![("Benchmark", 16)];
     for (_, label) in &schemes {
         columns.push((label, label.len().max(9)));
     }
-    format::header(&columns);
+    out.push_str(&format::header(&columns));
     let mut sums = vec![Vec::new(); schemes.len()];
     for eval in evals {
-        print!("{:>16}", eval.name);
-        for (i, (name, label)) in schemes.iter().enumerate() {
-            let width = label.len().max(9);
-            match eval.result(name) {
+        out.push_str(&format!("{:>16}", eval.name));
+        for (i, (name, _)) in schemes.iter().enumerate() {
+            let cell = match eval.result(name) {
                 Some(result) => {
                     let value = metric.of(&result.metrics);
-                    print!("  {:>width$}", format::pct(value));
                     sums[i].push(value);
+                    format::pct(value)
                 }
-                None => print!("  {:>width$}", "-"),
-            }
+                None => "-".to_string(),
+            };
+            out.push_str(&format!("  {cell:>width$}", width = columns[i + 1].1));
         }
-        println!();
+        out.push('\n');
     }
-    println!();
-    print!("{:>16}", "average");
-    for (i, (_, label)) in schemes.iter().enumerate() {
-        print!(
-            "  {:>width$}",
-            format::pct(Summary::of(&sums[i]).mean),
-            width = label.len().max(9)
-        );
+    out.push_str(&format!("\n{:>16}", "average"));
+    for (sum, (_, width)) in sums.iter().zip(&columns[1..]) {
+        out.push_str(&format!("  {:>width$}", format::pct(Summary::of(sum).mean)));
     }
-    println!();
+    out.push('\n');
+    out
 }
 
 pub use mcd_dvfs::error::run_main;
@@ -283,14 +327,16 @@ pub mod format {
         format!("{:6.1}%", fraction * 100.0)
     }
 
-    /// Prints a header row followed by a separator of matching width.
-    pub fn header(columns: &[(&str, usize)]) {
+    /// Renders a header row (each name right-aligned in its width, then two
+    /// spaces) followed by a separator as long as that row, each ending in a
+    /// newline.
+    pub fn header(columns: &[(&str, usize)]) -> String {
         let mut line = String::new();
         for (name, width) in columns {
             line.push_str(&format!("{name:>width$}  ", width = width));
         }
-        println!("{line}");
-        println!("{}", "-".repeat(line.len().max(1)));
+        let rule = "-".repeat(line.len().max(1));
+        format!("{line}\n{rule}\n")
     }
 }
 

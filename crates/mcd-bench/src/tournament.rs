@@ -1,55 +1,25 @@
 //! The controller tournament: every registered scheme, every suite tier, one
-//! [`Evaluator`], one ranked scheme × benchmark matrix.
+//! [`Evaluator`](mcd_dvfs::service::Evaluator), one ranked scheme × benchmark
+//! matrix.
 //!
-//! [`run`] evaluates the selected benchmarks with the full registry (the
-//! paper's four schemes plus the controller zoo) through one [`Evaluator`],
-//! one job per benchmark; within a job, the profile and learned schemes
-//! share one training capture through the batch's artifact pools. [`render`] is a pure function from
-//! the evaluations to the report text, so the output is byte-stable across
-//! runs, across cold/warm caches, and across `--jobs` values (the snapshot
-//! test and the CI smoke both rely on this).
+//! The `tournament` binary evaluates the selected benchmarks with the full
+//! registry (the paper's four schemes plus the controller zoo) through
+//! [`crate::evaluate_all`]: one evaluator, one job per benchmark; within a
+//! job, the profile and learned schemes share one training capture through
+//! the batch's artifact pools. [`render`] is a pure function from the evaluations to the report text,
+//! so the output is byte-stable across runs, across cold/warm caches, and
+//! across `--jobs` values (the snapshot test and the CI smoke both rely on
+//! this).
 //!
 //! The report has two parts: the three per-benchmark metric matrices
-//! (slowdown, energy savings, energy·delay improvement — the shape of
-//! Figures 4–6, widened to every scheme), and ranking tables per suite tier
-//! plus overall, ordered by mean energy·delay improvement (the metric the
-//! paper treats as the headline trade-off).
+//! (slowdown, energy savings, energy·delay improvement — the figures'
+//! [`metric_table`], widened to every scheme), and ranking tables per suite
+//! tier plus overall, ordered by mean energy·delay improvement (the metric
+//! the paper treats as the headline trade-off).
 
-use crate::{format, scheme_columns, Metric};
-use mcd_dvfs::error::McdError;
-use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig, Summary};
-use mcd_dvfs::service::{EvalJob, Evaluator};
-use mcd_workloads::suite::{self, Benchmark, SuiteKind};
-
-/// Evaluates `benches` under `config` through one [`Evaluator`] — each
-/// benchmark is a job, run as a batch of one like every submission — and
-/// reports the evaluator's batch counters on stderr (`mcd-batch: ...`,
-/// machine-greppable like the cache line). Evaluations return in submission
-/// order.
-pub fn run(
-    benches: &[Benchmark],
-    config: &EvaluationConfig,
-) -> Result<Vec<BenchmarkEvaluation>, McdError> {
-    eprintln!(
-        "  tournament: {} benchmark(s) on {} thread(s) ...",
-        benches.len(),
-        config.parallelism.max(1)
-    );
-    let workers = config.parallelism.max(1).min(benches.len().max(1));
-    let evaluator = Evaluator::builder()
-        .config(config.clone())
-        .workers(workers)
-        .build();
-    let jobs = benches.iter().cloned().map(EvalJob::new).collect();
-    let evals = crate::collect_streaming(evaluator.submit_all(jobs))?;
-    let b = evaluator.batch_stats();
-    eprintln!(
-        "mcd-batch: groups={} members={} passes={} lanes={} baselines_computed={} \
-         baselines_reused={}",
-        b.groups, b.members, b.passes, b.lanes, b.baselines_computed, b.baselines_reused
-    );
-    Ok(evals)
-}
+use crate::{format, metric_table, scheme_columns, Metric};
+use mcd_dvfs::evaluation::{BenchmarkEvaluation, Summary};
+use mcd_workloads::suite::{self, SuiteKind};
 
 /// One scheme's aggregate over a set of benchmarks: the per-metric means the
 /// ranking tables report.
@@ -61,51 +31,6 @@ struct SchemeAggregate {
     energy: f64,
     energy_delay: f64,
     covered: usize,
-}
-
-/// Builds one metric matrix (benchmark rows × scheme columns, closing
-/// average row) as a string — the textual shape of
-/// [`crate::print_metric_table`], rendered instead of printed.
-fn metric_matrix(title: &str, evals: &[BenchmarkEvaluation], metric: Metric) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push_str("\n\n");
-    let schemes = scheme_columns(evals);
-    let mut header = format!("{:>16}", "Benchmark");
-    for (_, label) in &schemes {
-        header.push_str(&format!("  {:>width$}", label, width = label.len().max(9)));
-    }
-    out.push_str(&header);
-    out.push('\n');
-    out.push_str(&"-".repeat(header.len()));
-    out.push('\n');
-    let mut sums = vec![Vec::new(); schemes.len()];
-    for eval in evals {
-        out.push_str(&format!("{:>16}", eval.name));
-        for (i, (name, label)) in schemes.iter().enumerate() {
-            let width = label.len().max(9);
-            match eval.result(name) {
-                Some(result) => {
-                    let value = metric.of(&result.metrics);
-                    out.push_str(&format!("  {:>width$}", format::pct(value)));
-                    sums[i].push(value);
-                }
-                None => out.push_str(&format!("  {:>width$}", "-")),
-            }
-        }
-        out.push('\n');
-    }
-    out.push('\n');
-    out.push_str(&format!("{:>16}", "average"));
-    for (i, (_, label)) in schemes.iter().enumerate() {
-        out.push_str(&format!(
-            "  {:>width$}",
-            format::pct(Summary::of(&sums[i]).mean),
-            width = label.len().max(9)
-        ));
-    }
-    out.push('\n');
-    out
 }
 
 /// Aggregates each scheme over `evals`, ranked by mean energy·delay
@@ -202,19 +127,19 @@ pub fn render(evals: &[BenchmarkEvaluation]) -> String {
         evals.len(),
         scheme_columns(evals).len()
     ));
-    out.push_str(&metric_matrix(
+    out.push_str(&metric_table(
         "== Slowdown (performance degradation vs MCD baseline) ==",
         evals,
         Metric::Slowdown,
     ));
     out.push('\n');
-    out.push_str(&metric_matrix(
+    out.push_str(&metric_table(
         "== Energy savings vs MCD baseline ==",
         evals,
         Metric::EnergySavings,
     ));
     out.push('\n');
-    out.push_str(&metric_matrix(
+    out.push_str(&metric_table(
         "== Energy-delay improvement vs MCD baseline ==",
         evals,
         Metric::EnergyDelay,

@@ -53,4 +53,3 @@ pub use candidates::{LongRunningSet, DEFAULT_THRESHOLD};
 pub use context::ContextPolicy;
 pub use coverage::CoverageReport;
 pub use edit::{InstrumentationPlan, MarkerOutcome, NodeKey, ReconfigEvent, RuntimeTracker};
-pub use overhead::OverheadReport;

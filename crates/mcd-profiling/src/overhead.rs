@@ -29,37 +29,6 @@ pub const LOOP_LABEL_CYCLES: f64 = 4.0;
 /// paper).
 pub const SIMPLE_RECONFIG_CYCLES: f64 = 1.0;
 
-/// Static and dynamic instrumentation statistics for one benchmark under one
-/// context policy (one row of Table 4, and the inputs to Figure 12).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OverheadReport {
-    /// Static reconfiguration points in the edited binary.
-    pub static_reconfiguration_points: usize,
-    /// Static instrumentation points (reconfiguration points are a subset).
-    pub static_instrumentation_points: usize,
-    /// Dynamic executions of reconfiguration points.
-    pub dynamic_reconfigurations: u64,
-    /// Dynamic executions of instrumentation points (including reconfiguration
-    /// points).
-    pub dynamic_instrumentations: u64,
-    /// Total instrumentation cycles charged during the production run.
-    pub overhead_cycles: f64,
-    /// Estimated size of the run-time lookup tables, in bytes.
-    pub lookup_table_bytes: usize,
-}
-
-impl OverheadReport {
-    /// Overhead as a fraction of the given total run time expressed in
-    /// baseline (1 GHz) cycles.
-    pub fn overhead_fraction(&self, total_cycles: f64) -> f64 {
-        if total_cycles <= 0.0 {
-            0.0
-        } else {
-            self.overhead_cycles / total_cycles
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,15 +41,5 @@ mod tests {
             assert!(LOOP_LABEL_CYCLES < PATH_INSTRUMENTATION_CYCLES);
             assert!(SIMPLE_RECONFIG_CYCLES < LOOP_LABEL_CYCLES);
         }
-    }
-
-    #[test]
-    fn overhead_fraction_guards_zero() {
-        let r = OverheadReport {
-            overhead_cycles: 50.0,
-            ..OverheadReport::default()
-        };
-        assert_eq!(r.overhead_fraction(0.0), 0.0);
-        assert!((r.overhead_fraction(10_000.0) - 0.005).abs() < 1e-12);
     }
 }

@@ -110,10 +110,16 @@ impl<F: FnMut(u64, &mut EventTrace)> std::fmt::Debug for WindowedRecord<F> {
 }
 
 impl<F: FnMut(u64, &mut EventTrace)> WindowedRecord<F> {
-    /// Creates a windowed recorder with `window` instructions per window
-    /// (clamped to at least one).
+    /// Creates a windowed recorder with `window` instructions per window.
+    ///
+    /// # Panics
+    ///
+    /// If `window` is zero.
     pub fn new(window: u64, sink: F) -> Self {
-        let window = window.max(1);
+        assert!(
+            window > 0,
+            "WindowedRecord: the window length must be at least one instruction"
+        );
         WindowedRecord {
             window,
             sink,

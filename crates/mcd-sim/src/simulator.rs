@@ -405,6 +405,10 @@ impl Simulator {
     ///
     /// The result's `events` field is `None`; every event was delivered
     /// through the sink.
+    ///
+    /// # Panics
+    ///
+    /// If `window_instructions` is zero.
     pub fn run_windowed<I, H, F>(
         &self,
         trace: I,

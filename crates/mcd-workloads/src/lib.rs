@@ -3,10 +3,11 @@
 //! The paper evaluates its profile-driven DVFS mechanism on nineteen
 //! benchmarks compiled for Alpha and traced with ATOM. Neither the binaries
 //! nor the toolchain are available as Rust, so this crate provides the
-//! substitute substrate (see DESIGN.md §2): each benchmark is modelled as a
-//! structural [`Program`] — subroutines, loops, call sites,
-//! and input-dependent regions — whose compute blocks carry instruction-mix
-//! descriptors ([`mix::InstructionMix`]). The [`generator`] expands a program
+//! substitute substrate, with windows scaled down from the paper's (the
+//! `table2_windows` binary prints them; the README's figure table lists it):
+//! each benchmark is modelled as a structural [`Program`] — subroutines,
+//! loops, call sites, and input-dependent regions — whose compute blocks
+//! carry instruction-mix descriptors ([`mix::InstructionMix`]). The [`generator`] expands a program
 //! under a training or reference [`input::InputSet`] into the dynamic
 //! instruction/marker trace the `mcd-sim` simulator consumes and the
 //! `mcd-profiling` crate builds call trees from.

@@ -10,7 +10,8 @@
 //! [`InputPair`](crate::input::InputPair) describing the simulated windows.
 //!
 //! The absolute instruction counts are scaled down from the paper's 200 M
-//! instruction windows (see DESIGN.md §2); the *relative* structure — which
+//! instruction windows (`table2_windows` prints them; see the README's
+//! figure table); the *relative* structure — which
 //! domain each phase keeps busy, which nodes run long enough to justify
 //! reconfiguration, and how training and reference inputs differ — is what the
 //! reproduction depends on, and is preserved.

@@ -90,8 +90,8 @@ cache-clean:
 figures:
     cargo run --release --bin table1_config
     cargo run --release --bin table2_windows
-    cargo run --release --bin table3_coverage
-    cargo run --release --bin table4_overhead
+    cargo run --release --bin table3_coverage -- --quick
+    cargo run --release --bin table4_overhead -- --quick
     cargo run --release --bin fig4_slowdown -- --quick
     cargo run --release --bin fig5_energy -- --quick
     cargo run --release --bin fig6_energy_delay -- --quick
@@ -103,8 +103,11 @@ figures:
     cargo run --release --bin mcd_baseline_penalty -- --quick
     cargo run --release --bin ablation_threshold
 
-# Regenerate every figure over the full nineteen-benchmark suite (slow).
+# Regenerate every figure and table over the full nineteen-benchmark suite
+# (slow).
 figures-full:
+    cargo run --release --bin table3_coverage
+    cargo run --release --bin table4_overhead
     cargo run --release --bin fig4_slowdown
     cargo run --release --bin fig5_energy
     cargo run --release --bin fig6_energy_delay

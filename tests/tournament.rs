@@ -1,6 +1,6 @@
 //! Tournament snapshot tests.
 //!
-//! The tournament report must be byte-stable: [`mcd_bench::tournament::run`]
+//! The tournament report must be byte-stable: [`mcd_bench::evaluate_all`]
 //! evaluates through the batched `Evaluator` (deterministic by the batched
 //! bit-identity property) and [`mcd_bench::tournament::render`] is a pure
 //! function of the evaluations, so two runs on the same panel must render
@@ -15,7 +15,7 @@
 //! the PID loop's integral term holds the queue setpoint across the
 //! idle/burst boundary and loses far less time per burst.
 
-use mcd_bench::tournament;
+use mcd_bench::{evaluate_all, tournament};
 use mcd_dvfs::evaluation::EvaluationConfig;
 use mcd_workloads::suite::{self, Benchmark};
 
@@ -47,8 +47,8 @@ fn config() -> EvaluationConfig {
 #[test]
 fn tournament_report_is_byte_stable_across_runs() {
     let config = config();
-    let first = tournament::run(&panel(), &config).expect("tournament evaluates");
-    let second = tournament::run(&panel(), &config).expect("tournament evaluates");
+    let first = evaluate_all(&panel(), &config).expect("tournament evaluates");
+    let second = evaluate_all(&panel(), &config).expect("tournament evaluates");
 
     let a = tournament::render(&first);
     let b = tournament::render(&second);
@@ -80,7 +80,7 @@ fn tournament_report_is_byte_stable_across_runs() {
 /// at the pinned seeds: ~14% vs ~4%.)
 #[test]
 fn pid_beats_attack_decay_on_bursty_benchmark() {
-    let evals = tournament::run(
+    let evals = evaluate_all(
         &[suite::benchmark("sensor hub").expect("known benchmark")],
         &config(),
     )
