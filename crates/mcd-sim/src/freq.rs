@@ -260,13 +260,26 @@ impl RampModel {
 
     /// The frequency reached after ramping from `from` toward `to` for `elapsed`.
     pub fn frequency_after(&self, from: MegaHertz, to: MegaHertz, elapsed: TimeNs) -> MegaHertz {
-        let full = self.transition_time(from, to);
-        if full.is_zero() || elapsed >= full {
-            return to;
-        }
-        let progress = elapsed.as_ns() / full.as_ns();
-        MegaHertz::new(from.as_mhz() + (to.as_mhz() - from.as_mhz()) * progress)
+        on_ramp(from, to, self.transition_time(from, to), elapsed).unwrap_or(to)
     }
+}
+
+/// The frequency `elapsed` into a ramp of length `ramp_len` from `from` toward
+/// `to`, or `None` once the ramp has ended (a zero-length ramp ends at once).
+#[inline]
+pub(crate) fn on_ramp(
+    from: MegaHertz,
+    to: MegaHertz,
+    ramp_len: TimeNs,
+    elapsed: TimeNs,
+) -> Option<MegaHertz> {
+    if ramp_len.is_zero() || elapsed >= ramp_len {
+        return None;
+    }
+    let progress = elapsed.as_ns() / ramp_len.as_ns();
+    Some(MegaHertz::new(
+        from.as_mhz() + (to.as_mhz() - from.as_mhz()) * progress,
+    ))
 }
 
 impl Default for RampModel {

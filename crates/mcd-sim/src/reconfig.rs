@@ -6,7 +6,7 @@
 //! frequency ramps toward its target at the rate of the [`RampModel`].
 
 use crate::domain::{Domain, PerDomain};
-use crate::freq::{FrequencyGrid, RampModel, VoltageMap};
+use crate::freq::{on_ramp, FrequencyGrid, RampModel, VoltageMap};
 use crate::time::{MegaHertz, TimeNs, Volts};
 
 /// A requested frequency for each of the four scalable domains.
@@ -85,25 +85,63 @@ impl Default for FrequencySetting {
     }
 }
 
-/// DVFS state of a single domain: where its frequency currently is, where it is
-/// heading, and when the most recent ramp started.
+/// A domain's operating point: its clock frequency and the two values the
+/// timing and energy models derive from it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OperatingPoint {
+    /// The clock frequency.
+    pub frequency: MegaHertz,
+    /// The clock period, `frequency.period()`.
+    pub period: TimeNs,
+    /// The dynamic-energy scale factor `(V/Vmax)^2`,
+    /// [`VoltageMap::energy_scale`] of the frequency.
+    pub energy_scale: f64,
+}
+
+impl OperatingPoint {
+    fn at(frequency: MegaHertz, voltage_map: &VoltageMap) -> Self {
+        OperatingPoint {
+            frequency,
+            period: frequency.period(),
+            energy_scale: voltage_map.energy_scale(frequency),
+        }
+    }
+}
+
+/// DVFS state of a single domain: where its most recent ramp started, how
+/// long it lasts, and the operating point it heads for.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct DomainDvfs {
     /// Frequency at the moment the current ramp started.
     start_freq: MegaHertz,
-    /// Target of the current ramp.
-    target_freq: MegaHertz,
     /// Wall-clock time the current ramp started.
     ramp_start: TimeNs,
+    /// Length of the current ramp (zero when the domain was set directly).
+    ramp_len: TimeNs,
+    /// Target of the current ramp, computed once when the register is written.
+    target: OperatingPoint,
 }
 
 impl DomainDvfs {
-    fn at_full_speed() -> Self {
+    fn settled_at(target: OperatingPoint) -> Self {
         DomainDvfs {
-            start_freq: MegaHertz::new(1000.0),
-            target_freq: MegaHertz::new(1000.0),
+            start_freq: target.frequency,
             ramp_start: TimeNs::ZERO,
+            ramp_len: TimeNs::ZERO,
+            target,
         }
+    }
+
+    /// The frequency at `now` while the domain is still ramping, or `None`
+    /// once it sits at its target.
+    #[inline]
+    fn ramping_frequency(&self, now: TimeNs) -> Option<MegaHertz> {
+        on_ramp(
+            self.start_freq,
+            self.target.frequency,
+            self.ramp_len,
+            now.saturating_sub(self.ramp_start),
+        )
     }
 }
 
@@ -111,6 +149,8 @@ impl DomainDvfs {
 ///
 /// Tracks the (ramping) frequency and matching voltage of each domain as a
 /// function of wall-clock time, and accepts reconfiguration-register writes.
+/// Each domain's target operating point is computed once, when the register
+/// is written, so a query about a domain that is not ramping divides nothing.
 ///
 /// Time must advance monotonically across calls that take a `now` parameter;
 /// the engine samples the ramp at the query time.
@@ -138,12 +178,14 @@ pub struct DvfsEngine {
 
 impl DvfsEngine {
     /// Creates a DVFS engine with the given grid, voltage map and ramp model.
+    /// Every domain, the external one included, starts at 1 GHz.
     pub fn new(grid: FrequencyGrid, voltage_map: VoltageMap, ramp: RampModel) -> Self {
+        let full_speed = OperatingPoint::at(MegaHertz::new(1000.0), &voltage_map);
         DvfsEngine {
             grid,
             voltage_map,
             ramp,
-            domains: PerDomain::splat(DomainDvfs::at_full_speed()),
+            domains: PerDomain::splat(DomainDvfs::settled_at(full_speed)),
             register_writes: 0,
         }
     }
@@ -170,10 +212,14 @@ impl DvfsEngine {
         let setting = setting.quantized(&self.grid);
         for d in Domain::SCALABLE {
             let current = self.frequency(d, now);
-            let state = self.domains.get_mut(d);
-            state.start_freq = current;
-            state.target_freq = setting.get(d);
-            state.ramp_start = now;
+            let target = setting.get(d);
+            let ramp_len = self.ramp.transition_time(current, target);
+            *self.domains.get_mut(d) = DomainDvfs {
+                start_freq: current,
+                ramp_start: now,
+                ramp_len,
+                target: OperatingPoint::at(target, &self.voltage_map),
+            };
         }
         self.register_writes += 1;
     }
@@ -186,24 +232,33 @@ impl DvfsEngine {
     pub fn set_immediate(&mut self, setting: FrequencySetting) {
         let setting = setting.quantized(&self.grid);
         for d in Domain::SCALABLE {
-            let state = self.domains.get_mut(d);
-            state.start_freq = setting.get(d);
-            state.target_freq = setting.get(d);
-            state.ramp_start = TimeNs::ZERO;
+            *self.domains.get_mut(d) =
+                DomainDvfs::settled_at(OperatingPoint::at(setting.get(d), &self.voltage_map));
+        }
+    }
+
+    /// The operating point of `domain` at time `now`: bit-identical to
+    /// deriving the period and energy scale from
+    /// [`DvfsEngine::frequency`], and free of divides once the domain has
+    /// reached its target.
+    ///
+    /// The external domain always runs at 1 GHz.
+    #[inline]
+    pub fn operating_point(&self, domain: Domain, now: TimeNs) -> OperatingPoint {
+        let st = &self.domains[domain];
+        match st.ramping_frequency(now) {
+            None => st.target,
+            Some(f) => OperatingPoint::at(f, &self.voltage_map),
         }
     }
 
     /// The instantaneous frequency of `domain` at time `now`.
     ///
     /// The external domain always runs at 1 GHz.
+    #[inline]
     pub fn frequency(&self, domain: Domain, now: TimeNs) -> MegaHertz {
-        if !domain.is_scalable() {
-            return MegaHertz::new(1000.0);
-        }
-        let st = self.domains[domain];
-        let elapsed = now.saturating_sub(st.ramp_start);
-        self.ramp
-            .frequency_after(st.start_freq, st.target_freq, elapsed)
+        let st = &self.domains[domain];
+        st.ramping_frequency(now).unwrap_or(st.target.frequency)
     }
 
     /// The instantaneous supply voltage of `domain` at time `now`.
@@ -212,17 +267,18 @@ impl DvfsEngine {
     }
 
     /// The dynamic-energy scale factor `(V/Vmax)^2` of `domain` at time `now`.
+    #[inline]
     pub fn energy_scale(&self, domain: Domain, now: TimeNs) -> f64 {
-        self.voltage_map.energy_scale(self.frequency(domain, now))
+        let st = &self.domains[domain];
+        match st.ramping_frequency(now) {
+            None => st.target.energy_scale,
+            Some(f) => self.voltage_map.energy_scale(f),
+        }
     }
 
     /// The target frequency the domain is ramping toward (or sitting at).
     pub fn target(&self, domain: Domain) -> MegaHertz {
-        if domain.is_scalable() {
-            self.domains[domain].target_freq
-        } else {
-            MegaHertz::new(1000.0)
-        }
+        self.domains[domain].target.frequency
     }
 
     /// The current targets of all scalable domains as a [`FrequencySetting`].
@@ -325,6 +381,111 @@ mod tests {
         assert_eq!(
             dvfs.frequency(Domain::Integer, TimeNs::from_us(200.0)),
             MegaHertz::new(1000.0)
+        );
+    }
+
+    /// Random register writes and immediate settings, queried before, during
+    /// and after each ramp: every cached operating point is bit for bit the
+    /// frequency an uncached ramp reaches, its period and its energy scale.
+    #[test]
+    fn operating_points_match_the_uncached_ramp_bitwise() {
+        let (grid, map, ramp) = (
+            FrequencyGrid::default(),
+            VoltageMap::default(),
+            RampModel::default(),
+        );
+        let mut rng = crate::sync::JitterRng::new(0x0A7E_9011);
+        let mut uniform = |lo: f64, hi: f64| lo + rng.next_uniform() * (hi - lo);
+        let full_speed = MegaHertz::new(1000.0);
+        // The uncached model: each domain's (start, target, ramp start).
+        let reference = |ramps: &PerDomain<(MegaHertz, MegaHertz, TimeNs)>, d: Domain, now| {
+            let (from, to, start) = ramps[d];
+            ramp.frequency_after(from, to, TimeNs::saturating_sub(now, start))
+        };
+        let (mut ramping, mut settled) = (0, 0);
+        for case in 0..40 {
+            let mut dvfs = DvfsEngine::new(grid.clone(), map.clone(), ramp);
+            let mut ramps = PerDomain::splat((full_speed, full_speed, TimeNs::ZERO));
+            let mut now = TimeNs::ZERO;
+            if case % 3 == 1 {
+                let setting = FrequencySetting::full_speed()
+                    .with(Domain::Memory, MegaHertz::new(uniform(250.0, 1000.0)))
+                    .with(Domain::Integer, MegaHertz::new(uniform(250.0, 1000.0)));
+                dvfs.set_immediate(setting);
+                let q = setting.quantized(&grid);
+                for d in Domain::SCALABLE {
+                    ramps[d] = (q.get(d), q.get(d), TimeNs::ZERO);
+                }
+            }
+            for _ in 0..30 {
+                let write_at = now;
+                let mut setting = FrequencySetting::full_speed();
+                for d in Domain::SCALABLE {
+                    // Some writes keep a domain's target, some move it.
+                    if uniform(0.0, 1.0) < 0.7 {
+                        setting = setting.with(d, MegaHertz::new(uniform(200.0, 1100.0)));
+                    } else {
+                        setting = setting.with(d, dvfs.target(d));
+                    }
+                }
+                let q = setting.quantized(&grid);
+                for d in Domain::SCALABLE {
+                    ramps[d] = (reference(&ramps, d, write_at), q.get(d), write_at);
+                }
+                dvfs.write_register(setting, write_at);
+                // Before the write (clamped to the ramp start), during the
+                // ramp, at and long after its end.
+                let queries = [
+                    TimeNs::new((write_at.as_ns() - uniform(0.0, 5_000.0)).max(0.0)),
+                    write_at,
+                    write_at + TimeNs::new(uniform(0.0, 60_000.0)),
+                    write_at + TimeNs::new(uniform(0.0, 20_000.0)),
+                    write_at + TimeNs::from_us(100.0),
+                ];
+                for t in queries {
+                    for d in Domain::ALL {
+                        let want = if d.is_scalable() {
+                            reference(&ramps, d, t)
+                        } else {
+                            full_speed
+                        };
+                        let got = dvfs.operating_point(d, t);
+                        let case = format!("case {case}, {d:?} at {t:?}");
+                        assert_eq!(
+                            got.frequency.as_mhz().to_bits(),
+                            want.as_mhz().to_bits(),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            got.period.as_ns().to_bits(),
+                            want.period().as_ns().to_bits(),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            got.energy_scale.to_bits(),
+                            map.energy_scale(want).to_bits(),
+                            "{case}"
+                        );
+                        assert_eq!(dvfs.frequency(d, t), got.frequency, "{case}");
+                        assert_eq!(
+                            dvfs.energy_scale(d, t).to_bits(),
+                            got.energy_scale.to_bits(),
+                            "{case}"
+                        );
+                        if want == dvfs.target(d) {
+                            settled += 1;
+                        } else {
+                            ramping += 1;
+                        }
+                    }
+                }
+                // The next write lands mid-ramp or after the ramp has ended.
+                now = write_at + TimeNs::new(uniform(0.0, 80_000.0));
+            }
+        }
+        assert!(
+            ramping > 1000 && settled > 1000,
+            "{ramping} ramping, {settled} settled"
         );
     }
 

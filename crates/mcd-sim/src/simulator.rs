@@ -20,14 +20,18 @@
 //! A simulation *pass* feeds one trace to one or more *lanes*, each a timing
 //! state under its own hooks ([`Simulator::run_lanes`]; a plain
 //! [`Simulator::run`] is a pass of one lane). Some of the model depends only on
-//! the trace, never on time or frequency: the cache hierarchy, the branch
-//! predictor, and the clock-jitter samples of the synchronizer (whether a
-//! crossing happens depends on domains, cache misses and mispredictions, so a
-//! lane's k-th crossing always uses the k-th sample pair). The pass owns these
-//! trace-determined models once and advances them once per instruction; every
-//! lane then executes against the same outcomes and reads the same jitter.
-//! A lane keeps only what time and frequency shape: the DVFS engine, energy
-//! accounting, structural queues and pacers, and the synchronizer's counters.
+//! the trace, never on time or frequency: the cache hierarchy and the branch
+//! predictor. The pass owns these trace-determined models once and advances
+//! them once per instruction; every lane then executes against the same
+//! outcomes. The synchronizer's clock jitter depends on even less: the k-th
+//! crossing of any run uses the k-th value drawn from the machine's seed, so
+//! every lane of every pass reads one process-wide, seed-determined
+//! [`JitterStream`] at its own crossing count, and each value is drawn once
+//! per process. A lane keeps only what time and frequency shape: the DVFS
+//! engine, energy accounting, structural queues and pacers, and the
+//! synchronizer's counters. The DVFS engine caches each domain's target
+//! operating point (frequency, period, energy scale) when the register is
+//! written, so a lane derives them afresh only while a domain ramps.
 
 use crate::branch::BranchPredictor;
 use crate::cache::{AccessOutcome, CacheHierarchy};
@@ -40,7 +44,7 @@ use crate::reconfig::{DvfsEngine, FrequencySetting};
 use crate::recorder::{FullRecord, NoRecord, Recorder, WindowedRecord};
 use crate::resources::{OccupancyQueue, StagePacer, UnitPool};
 use crate::stats::{IntervalStats, SimStats};
-use crate::sync::{JitterRng, Synchronizer};
+use crate::sync::{JitterStream, Synchronizer};
 use crate::time::TimeNs;
 
 /// What a hook asks the simulator to do at a marker.
@@ -179,11 +183,12 @@ const FE_ENERGY_CYCLES: f64 = 1.3;
 const MEMORY_ACCESS_ACTIVE_CYCLES: f64 = 10.0;
 
 /// The models a pass shares across its lanes because they depend only on the
-/// trace: advanced once per instruction, before any lane executes it.
+/// trace (advanced once per instruction, before any lane executes it), and
+/// the pass's view of the seed's jitter stream.
 struct TraceModels {
     caches: CacheHierarchy,
     branch: BranchPredictor,
-    jitter: JitterDraws,
+    jitter: JitterStream,
 }
 
 /// What the trace-determined models say about one instruction.
@@ -200,18 +205,13 @@ impl TraceModels {
         TraceModels {
             caches: CacheHierarchy::new(cfg),
             branch: BranchPredictor::new(&cfg.branch),
-            jitter: JitterDraws {
-                rng: JitterRng::new(cfg.seed),
-                draws: Vec::with_capacity(8),
-            },
+            jitter: JitterStream::new(cfg.seed, cfg.jitter_sigma_ps),
         }
     }
 
     /// Moves the models past `instr`: the I-cache access, then the D-cache
-    /// access, then the branch predictor. Also starts the instruction's jitter
-    /// draws afresh.
+    /// access, then the branch predictor.
     fn advance(&mut self, instr: &crate::instruction::Instr) -> TraceOutcome {
-        self.jitter.draws.clear();
         let icache = self.caches.access_instruction(instr.pc);
         let dcache = instr
             .class
@@ -231,46 +231,6 @@ impl TraceModels {
             dcache,
             mispredicted,
         }
-    }
-}
-
-/// The jitter sample pairs of the current instruction's crossings, drawn
-/// lazily: the first lane to reach its j-th crossing draws pair j, and every
-/// later lane reads it.
-struct JitterDraws {
-    rng: JitterRng,
-    draws: Vec<[f64; 2]>,
-}
-
-/// One lane's view of the current instruction's [`JitterDraws`].
-struct LaneJitter<'a> {
-    shared: &'a mut JitterDraws,
-    used: usize,
-    /// Whether this is the pass's first lane, which always finds the draws
-    /// empty.
-    first: bool,
-    /// Whether this is the pass's last lane, whose draws no later lane reads.
-    last: bool,
-}
-
-impl LaneJitter<'_> {
-    // Skipping the lookup in the first lane and the store in the last one
-    // keeps a one-lane pass (both first and last) as fast as drawing straight
-    // from the RNG: the buffer round trip cost it ~4% of its run time on a
-    // 2-vCPU x86-64 host.
-    fn next(&mut self) -> [f64; 2] {
-        let j = self.used;
-        self.used += 1;
-        if !self.first {
-            if let Some(&pair) = self.shared.draws.get(j) {
-                return pair;
-            }
-        }
-        let pair = self.shared.rng.next_normal_pair();
-        if !self.last {
-            self.shared.draws.push(pair);
-        }
-        pair
     }
 }
 
@@ -433,17 +393,18 @@ impl Simulator {
     /// Runs `trace` once while carrying one timing lane per entry of `lanes`,
     /// returning each lane's statistics in lane order.
     ///
-    /// The pass owns the trace-determined models — the cache hierarchy, the
-    /// branch predictor and the synchronizer's jitter samples — and advances
-    /// them once per instruction; then every lane, in lane order, executes the
-    /// instruction against those shared outcomes under its own hooks. Each
-    /// lane's evolution is therefore a pure function of the item stream and
-    /// its own hooks — bit-identical to running the trace once per lane with
+    /// The pass owns the trace-determined models — the cache hierarchy and
+    /// the branch predictor — and advances them once per instruction; then
+    /// every lane, in lane order, executes the instruction against those
+    /// shared outcomes under its own hooks, its k-th domain crossing reading
+    /// value k of the machine seed's jitter stream. Each lane's evolution is
+    /// therefore a pure function of the item stream and its own hooks —
+    /// bit-identical to running the trace once per lane with
     /// [`Simulator::run`] and `record_events == false`, including the branch,
     /// L1D and L2 counters, which come from the shared models. The win is
-    /// paying trace decode, cache and branch simulation and jitter sampling
-    /// once for N configurations, with one copy of the cache models instead
-    /// of N. All lanes share this simulator's machine and power model: a pass
+    /// paying trace decode and cache and branch simulation once for N
+    /// configurations, with one copy of the cache models instead of N. All
+    /// lanes share this simulator's machine and power model: a pass
     /// varies the control policy, not the hardware. Event recording is not
     /// supported here, and an empty lane set returns without touching the
     /// trace.
@@ -481,7 +442,7 @@ impl Simulator {
     fn fresh_state(&self, interval_len: Option<f64>) -> RunState {
         let cfg = &self.config;
         let sync = if cfg.synchronization_enabled {
-            Synchronizer::new(cfg.sync_window_ps, cfg.jitter_sigma_ps)
+            Synchronizer::new(cfg.sync_window_ps)
         } else {
             Synchronizer::disabled()
         };
@@ -578,28 +539,14 @@ impl Simulator {
                 }
                 TraceItem::Instr(instr) => {
                     let outcome = models.advance(&instr);
-                    let mut first_lane_draws = None;
-                    let lane_count = states.len();
-                    for (lane, (st, hooks)) in states.iter_mut().zip(lanes.iter_mut()).enumerate() {
-                        let mut jitter = LaneJitter {
-                            shared: &mut models.jitter,
-                            used: 0,
-                            first: lane == 0,
-                            last: lane + 1 == lane_count,
-                        };
+                    for (st, hooks) in states.iter_mut().zip(lanes.iter_mut()) {
                         self.execute_instruction(
                             st,
                             &instr,
                             outcome,
-                            &mut jitter,
+                            &mut models.jitter,
                             &mut **hooks,
                             recorder,
-                        );
-                        let used = jitter.used;
-                        debug_assert_eq!(
-                            *first_lane_draws.get_or_insert(used),
-                            used,
-                            "lanes crossed domains a different number of times on one instruction"
                         );
                     }
                 }
@@ -650,7 +597,7 @@ impl Simulator {
         st: &mut RunState,
         instr: &crate::instruction::Instr,
         outcome: TraceOutcome,
-        jitter: &mut LaneJitter<'_>,
+        jitter: &mut JitterStream,
         hooks: &mut H,
         recorder: &mut R,
     ) {
@@ -660,8 +607,8 @@ impl Simulator {
         // ------------------------------------------------------------------
         // Front end: fetch, decode, rename, dispatch.
         // ------------------------------------------------------------------
-        let fe_freq = st.dvfs.frequency(Domain::FrontEnd, st.last_commit);
-        let fe_period = fe_freq.period();
+        let fe = st.dvfs.operating_point(Domain::FrontEnd, st.last_commit);
+        let (fe_freq, fe_period) = (fe.frequency, fe.period);
 
         let mut fetch_ready = st.redirect_time;
         // Pending instrumentation overhead delays the front end once, then clears.
@@ -677,23 +624,23 @@ impl Simulator {
         let fe_active_cycles = cfg.l1i.latency_cycles as f64 + DECODE_CYCLES;
         if icache_outcome.missed_l1() {
             // The L2 lives in the memory domain: cross, access, cross back.
-            let mem_freq = st.dvfs.frequency(Domain::Memory, fetch_start);
+            let mem = st.dvfs.operating_point(Domain::Memory, fetch_start);
             let c1 = st.sync.crossing(
                 Domain::FrontEnd,
-                fe_freq,
+                fe_period,
                 Domain::Memory,
-                mem_freq,
+                mem.period,
                 fetch_start,
-                || jitter.next(),
+                |k| jitter.get(k),
             );
-            let l2_time = mem_freq.cycles_to_time(cfg.l2.latency_cycles as f64);
+            let l2_time = mem.frequency.cycles_to_time(cfg.l2.latency_cycles as f64);
             let c2 = st.sync.crossing(
                 Domain::Memory,
-                mem_freq,
+                mem.period,
                 Domain::FrontEnd,
-                fe_freq,
+                fe_period,
                 fetch_start + l2_time,
-                || jitter.next(),
+                |k| jitter.get(k),
             );
             fetch_latency += c1.penalty + l2_time + c2.penalty;
             self.charge_active(
@@ -729,16 +676,16 @@ impl Simulator {
         // Execution domain: issue queue, operand readiness, functional unit.
         // ------------------------------------------------------------------
         let exec_domain = instr.execution_domain();
-        let exec_freq = st.dvfs.frequency(exec_domain, dispatch_time);
+        let exec = st.dvfs.operating_point(exec_domain, dispatch_time);
 
         // Dispatch crosses from the front end into the execution domain.
         let crossing = st.sync.crossing(
             Domain::FrontEnd,
-            fe_freq,
+            fe_period,
             exec_domain,
-            exec_freq,
+            exec.period,
             dispatch_time,
-            || jitter.next(),
+            |k| jitter.get(k),
         );
         let mut issue_ready = dispatch_time + crossing.penalty;
 
@@ -767,11 +714,11 @@ impl Simulator {
                 if prod_domain != exec_domain {
                     let c = st.sync.crossing(
                         prod_domain,
-                        st.dvfs.frequency(prod_domain, prod_done),
+                        st.dvfs.operating_point(prod_domain, prod_done).period,
                         exec_domain,
-                        exec_freq,
+                        exec.period,
                         prod_done,
-                        || jitter.next(),
+                        |k| jitter.get(k),
                     );
                     ready += c.penalty;
                 }
@@ -805,7 +752,7 @@ impl Simulator {
                 }
             }
         }
-        let exec_time = exec_freq.cycles_to_time(exec_cycles) + external_latency;
+        let exec_time = exec.frequency.cycles_to_time(exec_cycles) + external_latency;
         let pool = match instr.class {
             InstrClass::IntAlu | InstrClass::Branch => &mut st.int_alus,
             InstrClass::IntMul => &mut st.int_muls,
@@ -814,7 +761,7 @@ impl Simulator {
             InstrClass::Load | InstrClass::Store => &mut st.mem_ports,
         };
         // Units are pipelined: they are busy for one issue slot, not the full latency.
-        let issue_start = pool.acquire(issue_ready, exec_freq.period());
+        let issue_start = pool.acquire(issue_ready, exec.period);
         let complete = issue_start + exec_time;
         let queue = match exec_domain {
             Domain::Integer => &mut st.int_queue,
@@ -829,11 +776,11 @@ impl Simulator {
         if was_mispredicted {
             let c = st.sync.crossing(
                 exec_domain,
-                exec_freq,
+                exec.period,
                 Domain::FrontEnd,
-                fe_freq,
+                fe_period,
                 complete,
-                || jitter.next(),
+                |k| jitter.get(k),
             );
             st.redirect_time =
                 complete + c.penalty + fe_freq.cycles_to_time(cfg.branch.mispredict_penalty as f64);
@@ -844,11 +791,11 @@ impl Simulator {
         // ------------------------------------------------------------------
         let back = st.sync.crossing(
             exec_domain,
-            exec_freq,
+            exec.period,
             Domain::FrontEnd,
-            fe_freq,
+            fe_period,
             complete,
-            || jitter.next(),
+            |k| jitter.get(k),
         );
         let commit_ready = (complete + back.penalty).max(st.last_commit);
         let commit_time = st.retire_pacer.admit(commit_ready, fe_period);
@@ -857,10 +804,12 @@ impl Simulator {
         let idle_span = commit_time.saturating_sub(st.last_commit);
         if !idle_span.is_zero() {
             for d in Domain::ALL {
-                let freq = st.dvfs.frequency(d, st.last_commit);
-                let scale = st.dvfs.energy_scale(d, st.last_commit);
-                st.power_acct
-                    .charge_idle(d, self.power.idle_energy(d, freq, idle_span, scale));
+                let op = st.dvfs.operating_point(d, st.last_commit);
+                st.power_acct.charge_idle(
+                    d,
+                    self.power
+                        .idle_energy(d, op.frequency, idle_span, op.energy_scale),
+                );
             }
         }
 
@@ -1553,6 +1502,101 @@ mod tests {
         for (lane, (f, s)) in fused.iter().zip(&serial).enumerate() {
             assert_stats_identical(f, s, lane);
         }
+    }
+
+    /// A machine whose jitter stream no other test draws.
+    fn fresh_seed_machine(seed: u64) -> MachineConfig {
+        MachineConfig::default()
+            .to_builder()
+            .seed(seed)
+            .build()
+            .expect("the default machine with another seed is valid")
+    }
+
+    /// Asserts that the published jitter stream of `machine` covers
+    /// `crossings` crossings, ends within one chunk of them, and equals a
+    /// fresh draw from the machine's seed.
+    fn assert_stream_is_fresh_draws(machine: &MachineConfig, crossings: u64) {
+        let published = crate::sync::published_jitter(machine.seed, machine.jitter_sigma_ps);
+        let len = published.len() as u64;
+        assert!(
+            len >= crossings && len < crossings + crate::sync::CHUNK_LEN as u64,
+            "{len} values published for {crossings} crossings"
+        );
+        let mut rng = crate::sync::JitterRng::new(machine.seed);
+        for (k, value) in published.iter().enumerate() {
+            let want = rng.next_crossing_jitter(machine.jitter_sigma_ps);
+            assert_eq!(value.to_bits(), want.to_bits(), "crossing {k}");
+        }
+    }
+
+    #[test]
+    fn jitter_stream_grows_to_the_longest_run_without_changing_a_bit() {
+        let machine = fresh_seed_machine(0x5EED_0022);
+        let sim = Simulator::new(machine.clone());
+        let long = divergence_trace();
+        let short = &long[..1500];
+        let run = |trace: &[TraceItem]| {
+            let mut hooks = ChargingMarkers {
+                setting: FrequencySetting::uniform(crate::time::MegaHertz::new(700.0)),
+                seen: 0,
+            };
+            sim.run(trace.iter().copied(), &mut hooks, false).stats
+        };
+        // Short first, so the long run extends a published prefix; then each
+        // length again, reading only what is published.
+        let runs = [run(short), run(&long), run(short), run(&long)];
+        assert!(runs[0].sync_crossings < runs[1].sync_crossings);
+        assert!(
+            runs[1].sync_crossings > 2 * crate::sync::CHUNK_LEN as u64,
+            "the long run must span several chunks"
+        );
+        assert_stats_identical(&runs[2], &runs[0], 0);
+        assert_stats_identical(&runs[3], &runs[1], 1);
+        assert_stream_is_fresh_draws(&machine, runs[1].sync_crossings);
+    }
+
+    #[test]
+    fn concurrent_passes_extend_the_jitter_stream_like_serial_runs() {
+        use std::sync::Barrier;
+        let machine = fresh_seed_machine(0x5EED_0023);
+        let sim = Simulator::new(machine.clone());
+        let long = divergence_trace();
+        let lengths = [700, long.len(), 3000];
+        let pass = |len: usize| {
+            let mut hooks = [
+                Pinned(FrequencySetting::full_speed()),
+                Pinned(
+                    FrequencySetting::uniform(crate::time::MegaHertz::new(600.0))
+                        .quantized(&machine.grid),
+                ),
+            ];
+            let mut lanes: Vec<&mut dyn SimHooks> =
+                hooks.iter_mut().map(|h| h as &mut dyn SimHooks).collect();
+            sim.run_lanes(long[..len].iter().copied(), &mut lanes)
+        };
+        // Two threads start passes of different lengths on the fresh seed at
+        // once, so both race to extend its stream.
+        let barrier = Barrier::new(2);
+        let (first, second) = std::thread::scope(|scope| {
+            let threads = [[0, 1, 2], [1, 2, 0]].map(|order| {
+                let (pass, barrier) = (&pass, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    order.map(|i| (i, pass(lengths[i])))
+                })
+            });
+            threads
+                .map(|t| t.join().expect("pass thread panicked"))
+                .into()
+        });
+        for (i, stats) in first.into_iter().chain(second) {
+            let serial = pass(lengths[i]);
+            for (lane, (got, want)) in stats.iter().zip(&serial).enumerate() {
+                assert_stats_identical(got, want, lane);
+            }
+        }
+        assert_stream_is_fresh_draws(&machine, pass(long.len())[0].sync_crossings);
     }
 
     #[test]

@@ -14,14 +14,17 @@
 //! the perturbed edge distance falls inside the synchronization window.
 //!
 //! The [`Synchronizer`] owns no noise source. Its caller supplies each
-//! crossing's two standard-normal jitter samples, normally drawn from a
-//! [`JitterRng`]. Whether a crossing happens depends only on the trace
-//! (domains, cache misses, mispredictions), never on time, so the simulator
-//! draws the samples once per simulation pass and every lane of the pass reads
-//! the same ones.
+//! crossing's jitter, in picoseconds, given the crossing's index: the k-th
+//! crossing of a run uses the k-th value that
+//! [`JitterRng::next_crossing_jitter`] draws from the machine's seed. That
+//! sequence depends on nothing but the seed and σ, so the simulator draws it
+//! once per process: a [`JitterStream`] is a view of one process-wide,
+//! append-only memo per `(seed, σ)`, which every lane of every pass reads and
+//! which grows, a chunk at a time, only as far as the longest run has needed.
 
 use crate::domain::Domain;
-use crate::time::{MegaHertz, TimeNs};
+use crate::time::TimeNs;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Deterministic xorshift-based noise source used for clock jitter.
 ///
@@ -71,11 +74,130 @@ impl JitterRng {
         (acc - 3.0) / 0.5f64.sqrt()
     }
 
-    /// The jitter of one crossing: two standard-normal samples, one per clock
-    /// edge, in draw order (see [`Synchronizer::crossing`]).
-    pub fn next_normal_pair(&mut self) -> [f64; 2] {
-        [self.next_normal(), self.next_normal()]
+    /// The jitter of one crossing, in picoseconds: a standard-normal sample
+    /// for the producer's clock edge minus one for the consumer's, drawn in
+    /// that order, each scaled by `sigma_ps`.
+    pub fn next_crossing_jitter(&mut self, sigma_ps: f64) -> f64 {
+        let producer_edge = self.next_normal();
+        let consumer_edge = self.next_normal();
+        producer_edge * sigma_ps - consumer_edge * sigma_ps
     }
+}
+
+/// Crossings per chunk of a jitter stream, as a power of two: 8192 values,
+/// 64 KiB.
+const CHUNK_BITS: u32 = 13;
+pub(crate) const CHUNK_LEN: usize = 1 << CHUNK_BITS;
+
+/// The published prefix of one `(seed, σ)` jitter stream: whole chunks of
+/// [`JitterRng::next_crossing_jitter`] values, and the generator's state after
+/// the last one.
+struct Published {
+    seed: u64,
+    sigma_bits: u64,
+    rng: JitterRng,
+    chunks: Vec<Arc<[f64]>>,
+}
+
+/// Every jitter stream drawn in this process. A process sees a handful of
+/// `(seed, σ)` pairs, so a list serves as the map.
+static STREAMS: Mutex<Vec<Published>> = Mutex::new(Vec::new());
+
+/// One simulation pass's view of the process-wide jitter stream of a
+/// `(seed, σ)` pair: `get(k)` is the jitter of the k-th crossing, the k-th
+/// value of [`JitterRng::next_crossing_jitter`] on `JitterRng::new(seed)`.
+///
+/// The view holds shared, immutable chunks of the stream. A lookup past its
+/// end takes the memo's lock once, copies the handles of every chunk
+/// published since, and, if the memo still ends before the index, draws the
+/// missing chunks from the saved generator state and publishes them. So
+/// each value is drawn once per process, and the memo grows only as far as
+/// the longest run has reached (rounded up to a 64 KiB chunk).
+///
+/// ```
+/// use mcd_sim::sync::{JitterRng, JitterStream};
+/// let mut stream = JitterStream::new(7, 110.0);
+/// let mut rng = JitterRng::new(7);
+/// for k in 0..100 {
+///     assert_eq!(stream.get(k).to_bits(), rng.next_crossing_jitter(110.0).to_bits());
+/// }
+/// ```
+#[derive(Debug)]
+pub struct JitterStream {
+    seed: u64,
+    sigma_ps: f64,
+    chunks: Vec<Arc<[f64]>>,
+}
+
+impl JitterStream {
+    /// A view of the jitter stream of `seed` with standard deviation
+    /// `sigma_ps`. It takes no lock until its first lookup.
+    pub fn new(seed: u64, sigma_ps: f64) -> Self {
+        JitterStream {
+            seed,
+            sigma_ps,
+            chunks: Vec::new(),
+        }
+    }
+
+    /// The jitter, in picoseconds, of crossing `index`.
+    #[inline]
+    pub fn get(&mut self, index: u64) -> f64 {
+        let chunk = (index >> CHUNK_BITS) as usize;
+        let offset = index as usize & (CHUNK_LEN - 1);
+        match self.chunks.get(chunk) {
+            Some(values) => values[offset],
+            None => self.catch_up(chunk)[offset],
+        }
+    }
+
+    /// Extends the view through chunk `chunk`, drawing and publishing any
+    /// chunk the memo lacks, and returns that chunk.
+    #[cold]
+    #[inline(never)]
+    fn catch_up(&mut self, chunk: usize) -> &[f64] {
+        let mut streams = STREAMS.lock().unwrap_or_else(PoisonError::into_inner);
+        let sigma_bits = self.sigma_ps.to_bits();
+        let at = match streams
+            .iter()
+            .position(|s| s.seed == self.seed && s.sigma_bits == sigma_bits)
+        {
+            Some(at) => at,
+            None => {
+                streams.push(Published {
+                    seed: self.seed,
+                    sigma_bits,
+                    rng: JitterRng::new(self.seed),
+                    chunks: Vec::new(),
+                });
+                streams.len() - 1
+            }
+        };
+        let published = &mut streams[at];
+        while published.chunks.len() <= chunk {
+            let rng = &mut published.rng;
+            let values: Arc<[f64]> = (0..CHUNK_LEN)
+                .map(|_| rng.next_crossing_jitter(self.sigma_ps))
+                .collect();
+            published.chunks.push(values);
+        }
+        let have = self.chunks.len();
+        self.chunks
+            .extend(published.chunks[have..].iter().map(Arc::clone));
+        &self.chunks[chunk]
+    }
+}
+
+/// Every value of the published jitter stream of `(seed, sigma_ps)`, in
+/// crossing order (empty when nothing has drawn it).
+#[cfg(test)]
+pub(crate) fn published_jitter(seed: u64, sigma_ps: f64) -> Vec<f64> {
+    let streams = STREAMS.lock().unwrap_or_else(PoisonError::into_inner);
+    streams
+        .iter()
+        .find(|s| s.seed == seed && s.sigma_bits == sigma_ps.to_bits())
+        .map(|s| s.chunks.iter().flat_map(|c| c.iter().copied()).collect())
+        .unwrap_or_default()
 }
 
 /// Splits `a * b` into an exact double-double `(hi, lo)` pair
@@ -154,49 +276,44 @@ pub struct CrossingOutcome {
     pub stalled: bool,
 }
 
-/// The inter-domain synchronization circuit: the window and jitter
-/// parameters plus crossing and stall counters. The jitter samples come from
-/// the caller.
+/// The inter-domain synchronization circuit: the window parameter plus
+/// crossing and stall counters. The jitter comes from the caller.
 ///
 /// ```
 /// use mcd_sim::sync::{JitterRng, Synchronizer};
 /// use mcd_sim::domain::Domain;
 /// use mcd_sim::time::{MegaHertz, TimeNs};
-/// let mut sync = Synchronizer::new(300.0, 110.0);
+/// let mut sync = Synchronizer::new(300.0);
 /// let mut rng = JitterRng::new(1);
+/// let period = MegaHertz::new(1000.0).period();
 /// let out = sync.crossing(
 ///     Domain::FrontEnd,
-///     MegaHertz::new(1000.0),
+///     period,
 ///     Domain::Integer,
-///     MegaHertz::new(1000.0),
+///     period,
 ///     TimeNs::new(17.0),
-///     || rng.next_normal_pair(),
+///     |_| rng.next_crossing_jitter(110.0),
 /// );
 /// // The penalty is either zero or exactly one consumer cycle (1 ns at 1 GHz).
 /// assert!(out.penalty.as_ns() == 0.0 || out.penalty.as_ns() == 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Synchronizer {
-    /// Synchronization window, in picoseconds... expressed as a fraction of the
-    /// faster clock's period when `window_ps` is zero. Table 1 gives 300 ps,
-    /// which is 30% of the 1 GHz baseline period.
+    /// Synchronization window, in picoseconds, capped at 30% of the faster
+    /// clock's period. Table 1 gives 300 ps, which is 30% of the 1 GHz
+    /// baseline period.
     window_ps: f64,
-    /// Standard deviation of clock jitter in picoseconds (Table 1: 110 ps).
-    jitter_sigma_ps: f64,
     stalls: u64,
     crossings: u64,
     enabled: bool,
 }
 
 impl Synchronizer {
-    /// Creates a synchronizer.
-    ///
-    /// * `window_ps` — synchronization window in picoseconds (300 in Table 1).
-    /// * `jitter_sigma_ps` — clock jitter standard deviation in picoseconds.
-    pub fn new(window_ps: f64, jitter_sigma_ps: f64) -> Self {
+    /// Creates a synchronizer with a synchronization window of `window_ps`
+    /// picoseconds (300 in Table 1).
+    pub fn new(window_ps: f64) -> Self {
         Synchronizer {
             window_ps,
-            jitter_sigma_ps,
             stalls: 0,
             crossings: 0,
             enabled: true,
@@ -207,7 +324,7 @@ impl Synchronizer {
     /// synchronous (single-clock) processor used to quantify the MCD design's
     /// inherent performance penalty.
     pub fn disabled() -> Self {
-        let mut s = Synchronizer::new(300.0, 110.0);
+        let mut s = Synchronizer::new(300.0);
         s.enabled = false;
         s
     }
@@ -236,25 +353,28 @@ impl Synchronizer {
         }
     }
 
-    /// Evaluates a value crossing from `producer` (running at `producer_freq`)
-    /// to `consumer` (running at `consumer_freq`) at wall-clock time `now`.
+    /// Evaluates a value crossing from `producer` (clock period
+    /// `producer_period`) to `consumer` (clock period `consumer_period`) at
+    /// wall-clock time `now`.
     ///
     /// Returns the extra consumer-domain delay (zero or one consumer cycle).
     /// Crossings within the same domain never stall.
     ///
-    /// `jitter` yields the crossing's two standard-normal samples, the first
-    /// for the producer's clock edge and the second for the consumer's (see
-    /// [`JitterRng::next_normal_pair`]). It is called only for a real
-    /// crossing: a same-domain transfer or a disabled synchronizer draws
-    /// nothing.
+    /// `jitter_ps` maps the crossing's index (the number of crossings before
+    /// it, see [`Synchronizer::crossings`]) to its jitter in picoseconds, the
+    /// producer's edge offset minus the consumer's (see
+    /// [`JitterRng::next_crossing_jitter`] and [`JitterStream`]). It is
+    /// called only for a real crossing: a same-domain transfer or a disabled
+    /// synchronizer takes no jitter.
+    #[inline]
     pub fn crossing(
         &mut self,
         producer: Domain,
-        producer_freq: MegaHertz,
+        producer_period: TimeNs,
         consumer: Domain,
-        consumer_freq: MegaHertz,
+        consumer_period: TimeNs,
         now: TimeNs,
-        jitter: impl FnOnce() -> [f64; 2],
+        jitter_ps: impl FnOnce(u64) -> f64,
     ) -> CrossingOutcome {
         if producer == consumer || !self.enabled {
             return CrossingOutcome {
@@ -262,10 +382,11 @@ impl Synchronizer {
                 stalled: false,
             };
         }
+        let index = self.crossings;
         self.crossings += 1;
 
-        let t_prod = producer_freq.period().as_ns() * 1000.0; // ps
-        let t_cons = consumer_freq.period().as_ns() * 1000.0; // ps
+        let t_prod = producer_period.as_ns() * 1000.0; // ps
+        let t_cons = consumer_period.as_ns() * 1000.0; // ps
         let t_fast = t_prod.min(t_cons);
         // Effective window: 30% of the faster clock (Table 1 expresses this as
         // 300 ps against the 1 GHz baseline period).
@@ -276,15 +397,13 @@ impl Synchronizer {
         // synchronization window, that edge cannot be used and the value waits
         // one additional consumer cycle.
         let now_ps = now.as_ns() * 1000.0;
-        let [producer_edge, consumer_edge] = jitter();
-        let jitter = producer_edge * self.jitter_sigma_ps - consumer_edge * self.jitter_sigma_ps;
-        let phase = exact_rem_euclid(now_ps + jitter, t_cons);
+        let phase = exact_rem_euclid(now_ps + jitter_ps(index), t_cons);
         let distance_to_next_edge = t_cons - phase;
 
         if distance_to_next_edge < window {
             self.stalls += 1;
             CrossingOutcome {
-                penalty: consumer_freq.period(),
+                penalty: consumer_period,
                 stalled: true,
             }
         } else {
@@ -298,13 +417,14 @@ impl Synchronizer {
 
 impl Default for Synchronizer {
     fn default() -> Self {
-        Synchronizer::new(300.0, 110.0)
+        Synchronizer::new(300.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::MegaHertz;
 
     #[test]
     fn jitter_rng_is_deterministic() {
@@ -372,11 +492,11 @@ mod tests {
         for i in 0..1000 {
             let out = sync.crossing(
                 Domain::Integer,
-                MegaHertz::new(1000.0),
+                MegaHertz::new(1000.0).period(),
                 Domain::Integer,
-                MegaHertz::new(1000.0),
+                MegaHertz::new(1000.0).period(),
                 TimeNs::new(i as f64 * 0.37),
-                || rng.next_normal_pair(),
+                |_| rng.next_crossing_jitter(110.0),
             );
             assert!(!out.stalled);
         }
@@ -391,11 +511,11 @@ mod tests {
         for i in 0..1000 {
             let out = sync.crossing(
                 Domain::FrontEnd,
-                MegaHertz::new(1000.0),
+                MegaHertz::new(1000.0).period(),
                 Domain::Memory,
-                MegaHertz::new(250.0),
+                MegaHertz::new(250.0).period(),
                 TimeNs::new(i as f64 * 1.13),
-                || rng.next_normal_pair(),
+                |_| rng.next_crossing_jitter(110.0),
             );
             assert!(!out.stalled);
             assert!(out.penalty.is_zero());
@@ -411,11 +531,11 @@ mod tests {
         for i in 0..50_000 {
             sync.crossing(
                 Domain::FrontEnd,
-                f,
+                f.period(),
                 Domain::Integer,
-                f,
+                f.period(),
                 TimeNs::new(i as f64 * 0.7919),
-                || rng.next_normal_pair(),
+                |_| rng.next_crossing_jitter(110.0),
             );
         }
         let rate = sync.stall_rate();
@@ -437,20 +557,20 @@ mod tests {
             let t = TimeNs::new(i as f64 * 0.577);
             let out_fast = sync.crossing(
                 Domain::Integer,
-                MegaHertz::new(1000.0),
+                MegaHertz::new(1000.0).period(),
                 Domain::FrontEnd,
-                MegaHertz::new(1000.0),
+                MegaHertz::new(1000.0).period(),
                 t,
-                || rng.next_normal_pair(),
+                |_| rng.next_crossing_jitter(110.0),
             );
             total_fast += out_fast.penalty.as_ns();
             let out_slow = sync.crossing(
                 Domain::Integer,
-                MegaHertz::new(1000.0),
+                MegaHertz::new(1000.0).period(),
                 Domain::Memory,
-                MegaHertz::new(250.0),
+                MegaHertz::new(250.0).period(),
                 t,
-                || rng.next_normal_pair(),
+                |_| rng.next_crossing_jitter(110.0),
             );
             total_slow += out_slow.penalty.as_ns();
         }
