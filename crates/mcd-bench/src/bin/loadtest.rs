@@ -1,21 +1,13 @@
-//! `loadtest` — the evaluation service's load-test harness.
+//! `loadtest` — the evaluation service's cross-process and chaos checks.
 //!
 //! Replays the synthetic mixed-tier job stream (see [`mcd_bench::loadtest`])
-//! through three phases:
+//! through the two phases no other harness covers:
 //!
-//! 1. **Throughput** — the same stream under serial (one job per entry) and
-//!    batched (one [`EvalJob::batch`] group per benchmark) submission, cold
-//!    cache; reports jobs/s and p50/p95/p99 queue/completion latency, and
-//!    requires the two runs' per-job metrics to hash to the same digest.
-//! 2. **Admission** — the stream fired at a bounded front-end, once with a
-//!    small queue capacity and once with a token-bucket rate limit; both
-//!    must produce nonzero completed *and* rejected counts, proving the
-//!    explicit queued/rejected accounting works under pressure.
-//! 3. **Shared cache** — N concurrent worker processes (re-executions of
+//! 1. **Shared cache** — N concurrent worker processes (re-executions of
 //!    this binary with `--worker`) cold-start on one `MCD_CACHE_DIR`; the
 //!    parent then asserts the single-writer guarantee: per artifact kind,
 //!    recorded writes equal distinct files — no key was computed twice.
-//! 4. **Chaos** — the stream replayed twice through identical machinery
+//! 2. **Chaos** — the stream replayed twice through identical machinery
 //!    (evaluator plus artifact cache on a fresh directory), once under a
 //!    disabled fault plan and once under the seeded
 //!    [`FaultConfig::chaos`] preset (injected read/write errors, torn
@@ -27,22 +19,28 @@
 //!    `.lock-*`/`.tmp-*` debris; and a liveness watchdog armed around the
 //!    phase never fires (exit 3 if it does).
 //!
+//! Serial-versus-batched throughput and the serial == batched metrics
+//! digest are gated by `perf_report`'s `load_*` stages; admission control
+//! is asserted by `tests/service.rs`.
+//!
 //! Flags: `--points N` (slowdown points per benchmark, default 32),
 //! `--procs N` (shared-cache worker processes, default 2), `--smoke`
 //! (CI-sized run: 3 points), `--fault-seed N` (chaos-phase seed, default
 //! 42 — rerunning with the failing seed replays the exact injection
-//! sequence), `--chaos-only` (skip phases 1–3; what CI's seed matrix runs),
+//! sequence), `--chaos-only` (skip phase 1; what CI's seed matrix runs),
 //! `--worker` (internal: run one batched stream against the environment's
-//! cache directory and append its stats snapshot). Exit status is non-zero
-//! on any failed invariant, so CI can run `loadtest --smoke` directly.
+//! cache directory and append its stats snapshot). An unknown flag, a
+//! missing value, or a value that does not parse (a count must be
+//! positive) prints `error: …` and exits 1 before any phase runs. Exit
+//! status is non-zero on any failed invariant, so CI can run
+//! `loadtest --smoke` directly.
 //!
 //! [`FaultConfig::chaos`]: mcd_dvfs::FaultConfig::chaos
-//!
-//! [`EvalJob::batch`]: mcd_dvfs::service::EvalJob::batch
 
+use mcd_bench::cli::{parse_value, positive_count};
 use mcd_bench::loadtest::{
-    check_cache_integrity, cold_config, run_admission, run_chaos, run_grouped, run_serial,
-    stream_jobs, ChaosReport, RunReport, DEFAULT_POINTS,
+    check_cache_integrity, cold_config, run_chaos, run_grouped, stream_jobs, ChaosReport,
+    DEFAULT_POINTS,
 };
 use mcd_dvfs::artifact::ArtifactCache;
 use mcd_dvfs::error::McdError;
@@ -63,27 +61,74 @@ const DEFAULT_FAULT_SEED: u64 = 42;
 /// genuinely stranded job, lock, or stream.
 const WATCHDOG_BUDGET: Duration = Duration::from_secs(240);
 
+/// Slowdown points per benchmark under `--smoke`.
+const SMOKE_POINTS: usize = 3;
+
+/// The parsed command line (see the module docs for each flag).
+#[derive(Debug)]
+struct Args {
+    points: usize,
+    procs: usize,
+    fault_seed: u64,
+    smoke: bool,
+    chaos_only: bool,
+    worker: bool,
+}
+
+impl Args {
+    /// Parses the arguments after the program name, rejecting anything this
+    /// binary does not take.
+    fn parse(args: &[String]) -> Result<Args, McdError> {
+        let mut points = None;
+        let mut parsed = Args {
+            points: DEFAULT_POINTS,
+            procs: 2,
+            fault_seed: DEFAULT_FAULT_SEED,
+            smoke: false,
+            chaos_only: false,
+            worker: false,
+        };
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            match arg.as_str() {
+                "--smoke" => parsed.smoke = true,
+                "--chaos-only" => parsed.chaos_only = true,
+                "--worker" => parsed.worker = true,
+                "--points" => points = Some(positive_count(arg, iter.next())?),
+                "--procs" => parsed.procs = positive_count(arg, iter.next())?,
+                "--fault-seed" => {
+                    parsed.fault_seed =
+                        parse_value(arg, iter.next(), "an unsigned integer", |_| true)?
+                }
+                other => {
+                    return Err(McdError::InvalidConfig(format!(
+                        "unknown argument `{other}` (expected --points N, --procs N, --smoke, \
+                         --fault-seed N, --chaos-only or --worker)"
+                    )))
+                }
+            }
+        }
+        parsed.points = points.unwrap_or(if parsed.smoke {
+            SMOKE_POINTS
+        } else {
+            DEFAULT_POINTS
+        });
+        Ok(parsed)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
+    let args = match Args::parse(&args) {
+        Ok(args) => args,
+        Err(err) => {
+            eprintln!("error: {err}");
+            return ExitCode::FAILURE;
+        }
     };
-    let smoke = flag("--smoke");
-    let points =
-        value("--points")
-            .filter(|&n| n > 0)
-            .unwrap_or(if smoke { 3 } else { DEFAULT_POINTS });
-    let procs = value("--procs").filter(|&n| n > 0).unwrap_or(2);
-    let seed = value("--fault-seed")
-        .map(|n| n as u64)
-        .unwrap_or(DEFAULT_FAULT_SEED);
 
-    if flag("--worker") {
-        return match run_worker(points) {
+    if args.worker {
+        return match run_worker(args.points) {
             Ok(()) => ExitCode::SUCCESS,
             Err(err) => {
                 eprintln!("loadtest worker: {err}");
@@ -96,24 +141,7 @@ fn main() -> ExitCode {
     // default-hook backtraces so real panics stay visible in the output.
     silence_injected_panics();
 
-    if flag("--chaos-only") {
-        return match chaos_phase(points, seed) {
-            Ok(true) => {
-                println!("loadtest: PASS");
-                ExitCode::SUCCESS
-            }
-            Ok(false) => {
-                println!("loadtest: FAIL");
-                ExitCode::FAILURE
-            }
-            Err(err) => {
-                eprintln!("loadtest: {err}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    match run_harness(points, procs, smoke, seed) {
+    match run_harness(&args) {
         Ok(true) => {
             println!("loadtest: PASS");
             ExitCode::SUCCESS
@@ -157,67 +185,24 @@ fn silence_injected_panics() {
     }));
 }
 
-fn run_harness(points: usize, procs: usize, smoke: bool, seed: u64) -> Result<bool, McdError> {
+fn run_harness(args: &Args) -> Result<bool, McdError> {
     let mut ok = true;
-
-    // Phase 1: serial vs batched throughput on the identical stream.
-    println!("phase 1: throughput (cold, cache disabled, {points} points/benchmark)");
-    let config = cold_config();
-    let serial = run_serial(&config, stream_jobs(points)?)?;
-    print_run("serial", &serial);
-    let batched = run_grouped(&config, stream_jobs(points)?)?;
-    print_run("batched", &batched);
-    let speedup = batched.throughput() / serial.throughput().max(1e-9);
-    let digests_match = serial.digest == batched.digest;
-    println!(
-        "loadtest: speedup={speedup:.2}x digests={}",
-        if digests_match { "match" } else { "MISMATCH" }
-    );
-    if !digests_match {
-        println!("loadtest: FAIL — batched metrics are not bit-identical to serial metrics");
-        ok = false;
+    if !args.chaos_only {
+        // Phase 1: N cold processes on one cache directory — single writer.
+        let worker_points = if args.smoke {
+            args.points
+        } else {
+            args.points.min(4)
+        };
+        println!(
+            "phase 1: shared cache ({} concurrent cold processes, {worker_points} points)",
+            args.procs
+        );
+        ok &= shared_cache_phase(worker_points, args.procs)?;
+        println!();
     }
-
-    // Phase 2: admission control under pressure.
-    println!();
-    println!("phase 2: admission (bounded front-end)");
-    let capped = run_admission(&config, stream_jobs(points)?, Some(2), None)?;
-    println!(
-        "loadtest: admission capacity=2 completed={} rejected_queue_full={} \
-         rejected_rate_limited={}",
-        capped.completed, capped.rejected_queue_full, capped.rejected_rate_limited
-    );
-    let limited = run_admission(&config, stream_jobs(points)?, None, Some((4.0, 2.0)))?;
-    println!(
-        "loadtest: admission rate=4/s burst=2 completed={} rejected_queue_full={} \
-         rejected_rate_limited={}",
-        limited.completed, limited.rejected_queue_full, limited.rejected_rate_limited
-    );
-    for (label, outcome) in [("capacity", &capped), ("rate", &limited)] {
-        if outcome.completed == 0 || outcome.rejected() == 0 {
-            println!(
-                "loadtest: FAIL — {label} phase must both admit and reject \
-                 (completed={}, rejected={})",
-                outcome.completed,
-                outcome.rejected()
-            );
-            ok = false;
-        }
-    }
-
-    // Phase 3: N cold processes on one cache directory — single writer.
-    println!();
-    let worker_points = if smoke { points } else { points.min(4) };
-    println!("phase 3: shared cache ({procs} concurrent cold processes, {worker_points} points)");
-    if !shared_cache_phase(worker_points, procs)? {
-        ok = false;
-    }
-
-    // Phase 4: seeded fault injection against the self-healing machinery.
-    println!();
-    if !chaos_phase(points, seed)? {
-        ok = false;
-    }
+    // Phase 2: seeded fault injection against the self-healing machinery.
+    ok &= chaos_phase(args.points, args.fault_seed)?;
     Ok(ok)
 }
 
@@ -246,11 +231,11 @@ fn arm_watchdog(budget: Duration) -> Arc<AtomicBool> {
     disarmed
 }
 
-/// Phase 4: the stream under a disabled plan (reference) and under
+/// Phase 2: the stream under a disabled plan (reference) and under
 /// [`FaultConfig::chaos`] with `seed`, through identical evaluator + cache
 /// machinery on fresh directories. See the module docs for the gates.
 fn chaos_phase(points: usize, seed: u64) -> Result<bool, McdError> {
-    println!("phase 4: chaos (seeded fault injection, seed={seed}, {points} points/benchmark)");
+    println!("phase 2: chaos (seeded fault injection, seed={seed}, {points} points/benchmark)");
     let base = std::env::temp_dir().join(format!("mcd-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let disarmed = arm_watchdog(WATCHDOG_BUDGET);
@@ -370,24 +355,6 @@ fn print_chaos(label: &str, report: &ChaosReport) {
     );
 }
 
-fn print_run(mode: &str, report: &RunReport) {
-    println!(
-        "loadtest: {mode:<8} jobs={} wall_ms={:.0} throughput={:.2}/s \
-         queue_ms p50={:.0} p95={:.0} p99={:.0} \
-         completion_ms p50={:.0} p95={:.0} p99={:.0} digest={:016x}",
-        report.jobs,
-        report.wall.as_secs_f64() * 1e3,
-        report.throughput(),
-        report.queue.p50_ms,
-        report.queue.p95_ms,
-        report.queue.p99_ms,
-        report.completion.p50_ms,
-        report.completion.p95_ms,
-        report.completion.p99_ms,
-        report.digest,
-    );
-}
-
 /// Runs `procs` concurrent `--worker` re-executions of this binary on a
 /// fresh shared cache directory, then verifies that per artifact kind the
 /// recorded writes equal the distinct files on disk (single-writer) and
@@ -456,4 +423,52 @@ fn shared_cache_phase(points: usize, procs: usize) -> Result<bool, McdError> {
     }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(list: &[&str]) -> Result<Args, McdError> {
+        Args::parse(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn rejected(list: &[&str]) -> String {
+        match parse(list) {
+            Err(McdError::InvalidConfig(message)) => message,
+            other => panic!("{list:?}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flags_parse_with_smoke_and_explicit_points() {
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(defaults.points, DEFAULT_POINTS);
+        assert_eq!(
+            (defaults.procs, defaults.fault_seed),
+            (2, DEFAULT_FAULT_SEED)
+        );
+        assert_eq!(parse(&["--smoke"]).unwrap().points, SMOKE_POINTS);
+        // An explicit count wins over `--smoke`, in either order.
+        assert_eq!(parse(&["--points", "5", "--smoke"]).unwrap().points, 5);
+        assert_eq!(parse(&["--smoke", "--points", "5"]).unwrap().points, 5);
+        let chaos = parse(&["--chaos-only", "--smoke", "--fault-seed", "7"]).unwrap();
+        assert!(chaos.chaos_only && chaos.smoke && !chaos.worker);
+        assert_eq!(chaos.fault_seed, 7);
+        let worker = parse(&["--worker", "--points", "2", "--procs", "3"]).unwrap();
+        assert!(worker.worker);
+        assert_eq!((worker.points, worker.procs), (2, 3));
+    }
+
+    #[test]
+    fn unknown_missing_and_malformed_arguments_are_rejected() {
+        assert!(rejected(&["--smok"]).contains("`--smok`"));
+        assert!(rejected(&["smoke"]).contains("`smoke`"));
+        assert!(rejected(&["--fault-seed", "x"]).contains("`x`"));
+        assert!(rejected(&["--fault-seed", "-1"]).contains("`-1`"));
+        assert!(rejected(&["--points", "0"]).contains("`0`"));
+        assert!(rejected(&["--procs", "0"]).contains("--procs"));
+        assert!(rejected(&["--points"]).contains("--points"));
+        assert!(rejected(&["--points", "--smoke"]).contains("--points"));
+    }
 }

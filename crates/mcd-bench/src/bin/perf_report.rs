@@ -31,11 +31,16 @@
 //! 25%) or the committed report lacks it, when the ten-point sweep costs 4×
 //! the one-point run or more, when batched load submission is less than 4×
 //! cheaper than serial, or when any serial or batched load run reports a
-//! different metrics digest.
+//! different metrics digest. An unknown flag, a missing value, or a value
+//! that does not parse (a non-positive `--iters`, a negative or non-finite
+//! `--tolerance`) prints `error: …` and exits 1 before any stage runs.
 //!
-//! The layers inside these stages are timed by the `perfbench/` benchmark;
-//! the shared cache's single-writer invariant is checked by `loadtest`.
+//! The `load_*` stages are the one home of the serial == batched digest
+//! gate on the full stream. The layers inside these stages are timed by the
+//! `perfbench/` benchmark; the shared cache's single-writer invariant and
+//! the chaos gates are checked by `loadtest`.
 
+use mcd_bench::cli::{parse_value, positive_count};
 use mcd_bench::loadtest::{self, RunReport};
 use mcd_dvfs::error::McdError;
 use mcd_dvfs::evaluation::EvaluationConfig;
@@ -71,9 +76,6 @@ const SWEEP_POINTS: usize = 10;
 /// this multiple of the one-point run.
 const SWEEP_SCALING_LIMIT: f64 = 4.0;
 
-/// Slowdown points per benchmark in the `load_*` stages' stream.
-const LOAD_POINTS: usize = 32;
-
 /// The load-test gate: batched submission must be at least this many times
 /// cheaper than serial submission of the identical stream.
 const LOAD_SPEEDUP_FLOOR: f64 = 4.0;
@@ -91,30 +93,80 @@ const LOAD_EXTRA_FIELDS: [&str; 7] = [
     "completion_p99_ms",
 ];
 
+/// The parsed command line (see the module docs for each flag).
+#[derive(Debug)]
+struct Args {
+    child: bool,
+    stage: String,
+    iters: usize,
+    out: String,
+    check: Option<String>,
+    tolerance: f64,
+}
+
+impl Args {
+    /// Parses the arguments after the program name, rejecting anything this
+    /// binary does not take: a misspelt `--check` must not silently run an
+    /// ungated report over the committed file.
+    fn parse(args: &[String]) -> Result<Args, McdError> {
+        let mut parsed = Args {
+            child: false,
+            stage: String::new(),
+            iters: 3,
+            out: "BENCH_9.json".to_string(),
+            check: None,
+            tolerance: 0.25,
+        };
+        let text = |flag: &str, value: Option<&String>, expected: &str| {
+            parse_value::<String>(flag, value, expected, |_| true)
+        };
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            match arg.as_str() {
+                "--child" => parsed.child = true,
+                "--stage" => parsed.stage = text(arg, iter.next(), "a stage")?,
+                "--iters" => parsed.iters = positive_count(arg, iter.next())?,
+                "--out" => parsed.out = text(arg, iter.next(), "a path")?,
+                "--check" => parsed.check = Some(text(arg, iter.next(), "a path")?),
+                "--tolerance" => {
+                    parsed.tolerance = parse_value(
+                        arg,
+                        iter.next(),
+                        "a finite non-negative fraction",
+                        |t: &f64| t.is_finite() && *t >= 0.0,
+                    )?
+                }
+                other => {
+                    return Err(McdError::InvalidConfig(format!(
+                        "unknown argument `{other}` (expected --iters N, --out PATH, \
+                         --check PATH or --tolerance F)"
+                    )))
+                }
+            }
+        }
+        Ok(parsed)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let args = match Args::parse(&args) {
+        Ok(args) => args,
+        Err(err) => {
+            eprintln!("error: {err}");
+            return ExitCode::FAILURE;
+        }
     };
-
-    if flag("--child") {
-        let stage = value("--stage").unwrap_or_default();
-        return run_child(&stage);
+    if args.child {
+        return run_child(&args.stage);
     }
-
-    let iters: usize = value("--iters")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
-    let out = value("--out").unwrap_or_else(|| "BENCH_9.json".to_string());
-    let check = value("--check");
-    let tolerance: f64 = value("--tolerance")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.25);
+    let Args {
+        iters,
+        out,
+        check,
+        tolerance,
+        ..
+    } = args;
 
     // Read the committed medians *before* measuring (the fresh report may
     // overwrite the same file).
@@ -373,7 +425,7 @@ fn run_sweep(points: usize) -> ExitCode {
 fn run_load(
     submit: fn(&EvaluationConfig, Vec<EvalJob>) -> Result<RunReport, McdError>,
 ) -> ExitCode {
-    let jobs = match loadtest::stream_jobs(LOAD_POINTS) {
+    let jobs = match loadtest::stream_jobs(loadtest::DEFAULT_POINTS) {
         Ok(jobs) => jobs,
         Err(err) => {
             eprintln!("perf_report: load stream unavailable: {err}");
@@ -533,5 +585,59 @@ mod tests {
                 "BENCH_9.json has no {MEDIAN_FIELD} for stage `{stage}`"
             );
         }
+    }
+
+    fn parse(list: &[&str]) -> Result<Args, McdError> {
+        Args::parse(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn rejected(list: &[&str]) -> String {
+        match parse(list) {
+            Err(McdError::InvalidConfig(message)) => message,
+            other => panic!("{list:?}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flags_parse_with_their_defaults() {
+        let defaults = parse(&[]).unwrap();
+        assert_eq!((defaults.iters, defaults.tolerance), (3, 0.25));
+        assert_eq!(
+            (defaults.out.as_str(), defaults.check),
+            ("BENCH_9.json", None)
+        );
+        let gated = parse(&[
+            "--iters",
+            "1",
+            "--check",
+            "BENCH_9.json",
+            "--out",
+            "b.json",
+            "--tolerance",
+            "0.3",
+        ])
+        .unwrap();
+        assert_eq!(gated.iters, 1);
+        assert_eq!(gated.check.as_deref(), Some("BENCH_9.json"));
+        assert_eq!((gated.out.as_str(), gated.tolerance), ("b.json", 0.3));
+        let child = parse(&["--child", "--stage", "sweep"]).unwrap();
+        assert!(child.child);
+        assert_eq!(child.stage, "sweep");
+    }
+
+    #[test]
+    fn unknown_missing_and_malformed_arguments_are_rejected() {
+        // A misspelt `--check` must not run an ungated report over the
+        // committed file.
+        assert!(rejected(&["--chek", "BENCH_9.json"]).contains("`--chek`"));
+        assert!(rejected(&["--check"]).contains("--check"));
+        assert!(rejected(&["--out", "--check", "BENCH_9.json"]).contains("--out"));
+        for iters in ["0", "-1", "x"] {
+            assert!(rejected(&["--iters", iters]).contains(&format!("`{iters}`")));
+        }
+        for tolerance in ["0,3", "-0.1", "NaN", "inf"] {
+            assert!(rejected(&["--tolerance", tolerance]).contains(&format!("`{tolerance}`")));
+        }
+        assert_eq!(parse(&["--tolerance", "0"]).unwrap().tolerance, 0.0);
     }
 }

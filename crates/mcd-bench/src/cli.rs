@@ -3,9 +3,12 @@
 //! Each binary used to hand-roll its own checks for `--quick`, `--no-cache`,
 //! `--full` and the `MCD_*` environment variables; this module consolidates
 //! them into [`Options::parse`], so a flag means the same thing everywhere
-//! and new flags have exactly one place to live.
+//! and new flags have exactly one place to live. The harness binaries
+//! (`loadtest`, `perf_report`) take other flags, but parse their values with
+//! the same [`parse_value`] and [`positive_count`].
 
 use mcd_dvfs::error::McdError;
+use std::str::FromStr;
 
 /// Which workload tier(s) a binary evaluates (`--suite` / `MCD_SUITE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,16 +92,15 @@ impl Options {
                 "--quick" | "quick" => options.quick = true,
                 "--full" => options.full = true,
                 "--no-cache" => options.no_cache = true,
-                "--jobs" => options.jobs = Some(parse_jobs("--jobs", iter.next())?),
-                "--suite" => match iter.next() {
-                    Some(value) if !value.starts_with("--") => options.suite = Some(value.clone()),
-                    _ => {
-                        return Err(McdError::InvalidConfig(
-                            "--suite needs a value (paper, server, interactive, tier2 or all)"
-                                .to_string(),
-                        ))
-                    }
-                },
+                "--jobs" => options.jobs = Some(positive_count("--jobs", iter.next())?),
+                "--suite" => {
+                    options.suite = Some(parse_value(
+                        arg,
+                        iter.next(),
+                        "a tier (paper, server, interactive, tier2 or all)",
+                        |_: &String| true,
+                    )?)
+                }
                 other => {
                     return Err(McdError::InvalidConfig(format!(
                         "unknown argument `{other}` (expected --quick, --full, --no-cache, \
@@ -113,7 +115,7 @@ impl Options {
         options.no_cache = options.no_cache || env_flag("MCD_NO_CACHE");
         if options.jobs.is_none() {
             if let Some(value) = env("MCD_JOBS") {
-                options.jobs = Some(parse_jobs("MCD_JOBS", Some(&value))?);
+                options.jobs = Some(positive_count("MCD_JOBS", Some(&value))?);
             }
         }
         if options.suite.is_none() {
@@ -142,18 +144,32 @@ impl Options {
     }
 }
 
-/// Parses a thread count given to `source` (`--jobs` or `MCD_JOBS`), which
-/// must be a positive integer.
-fn parse_jobs(source: &str, value: Option<&String>) -> Result<usize, McdError> {
+/// Parses the value given to `source` (a flag, or an environment variable)
+/// as a `T` that passes `valid`. A missing value, another flag in its place,
+/// or a value that does not parse or is not valid is
+/// [`McdError::InvalidConfig`] saying what `source` `expected`.
+pub fn parse_value<T: FromStr>(
+    source: &str,
+    value: Option<&String>,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, McdError> {
     value
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
+        .filter(|v| !v.starts_with("--"))
+        .and_then(|v| v.parse::<T>().ok())
+        .filter(valid)
         .ok_or_else(|| {
             McdError::InvalidConfig(format!(
-                "{source} needs a positive integer, got `{}`",
+                "{source} needs {expected}, got `{}`",
                 value.map_or("", |v| v.as_str())
             ))
         })
+}
+
+/// Parses a count given to `source` (`--jobs`, `MCD_JOBS`, …), which must be
+/// a positive integer.
+pub fn positive_count(source: &str, value: Option<&String>) -> Result<usize, McdError> {
+    parse_value(source, value, "a positive integer", |&n| n > 0)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The synthetic evaluation-service load: one job stream, two submission
-//! disciplines, and the measurements the load-test harness reports.
+//! disciplines, a chaos replay, and the measurements the harnesses report.
 //!
 //! The stream mixes workload tiers and priority classes the way a shared
 //! evaluation service would see them: three benchmarks — one batch
@@ -13,9 +13,6 @@
 //!   the throughput of a client that never batches;
 //! * [`run_grouped`] groups each benchmark's points into one
 //!   [`EvalJob::batch`] group — one capture/training pass feeding all lanes;
-//! * [`run_admission`] pushes the stream through a bounded, rate-limited
-//!   front-end ([`Evaluator::try_submit_all`]) and tallies the explicit
-//!   queued/rejected outcomes;
 //! * [`run_chaos`] replays the stream under a seeded fault plan
 //!   ([`FaultConfig::chaos`]) — injected read/write errors, torn writes,
 //!   lock stalls and worker panics — and records per-job outcomes so the
@@ -32,15 +29,13 @@
 //! metrics bit-for-bit into one FNV-1a fingerprint, so two runs produced the
 //! same numbers iff their digests match. The batched runner must therefore
 //! beat the serial runner on throughput while hashing to the same digest —
-//! the load-test harness's two headline gates.
+//! the two gates `perf_report`'s `load_*` stages hold.
 
 use mcd_dvfs::artifact::{verify_envelope, ArtifactCache};
 use mcd_dvfs::error::{find_benchmark, McdError};
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig};
 use mcd_dvfs::scheme::names;
-use mcd_dvfs::service::{
-    Admission, EvalEvent, EvalJob, Evaluator, Priority, RejectReason, ResultStream,
-};
+use mcd_dvfs::service::{EvalEvent, EvalJob, Evaluator, Priority, ResultStream};
 use mcd_dvfs::{FaultConfig, FaultPlan, FaultStats, RetryStats};
 use mcd_sim::fingerprint::Fnv1a;
 use std::collections::HashMap;
@@ -410,67 +405,6 @@ pub fn check_cache_integrity(cache_dir: &Path) -> CacheIntegrity {
         }
     }
     integrity
-}
-
-/// The admission phase's tally: how the bounded front-end disposed of the
-/// stream.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdmissionOutcome {
-    /// Jobs admitted and completed.
-    pub completed: usize,
-    /// Jobs rejected because the queue was at capacity.
-    pub rejected_queue_full: usize,
-    /// Jobs rejected by the token-bucket rate limiter.
-    pub rejected_rate_limited: usize,
-}
-
-impl AdmissionOutcome {
-    /// Total rejections, either cause.
-    pub fn rejected(&self) -> usize {
-        self.rejected_queue_full + self.rejected_rate_limited
-    }
-}
-
-/// Fires the stream at a bounded front-end as fast as the submission loop
-/// can go — `capacity` bounds the queue, `rate` is a `(per_second, burst)`
-/// token bucket — and tallies the explicit per-job outcomes. Rejected jobs
-/// terminate with [`McdError::Rejected`]; any other failure propagates.
-pub fn run_admission(
-    config: &EvaluationConfig,
-    jobs: Vec<EvalJob>,
-    capacity: Option<usize>,
-    rate: Option<(f64, f64)>,
-) -> Result<AdmissionOutcome, McdError> {
-    let mut builder = Evaluator::builder().config(config.clone()).workers(1);
-    if let Some(capacity) = capacity {
-        builder = builder.queue_capacity(capacity);
-    }
-    if let Some((per_second, burst)) = rate {
-        builder = builder.rate_limit(per_second, burst);
-    }
-    let evaluator = builder.build();
-    let mut outcome = AdmissionOutcome::default();
-    let mut streams = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let (stream, admissions) = evaluator.try_submit_all(vec![job]);
-        for admission in &admissions {
-            if let Admission::Rejected { reason, .. } = admission {
-                match reason {
-                    RejectReason::QueueFull { .. } => outcome.rejected_queue_full += 1,
-                    RejectReason::RateLimited => outcome.rejected_rate_limited += 1,
-                }
-            }
-        }
-        streams.push(stream);
-    }
-    for stream in streams {
-        match stream.collect() {
-            Ok(_) => outcome.completed += 1,
-            Err(McdError::Rejected(_)) => {}
-            Err(err) => return Err(err),
-        }
-    }
-    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -43,11 +43,11 @@ bench:
 bench-check:
     cargo run --release --bin perf_report -- --check BENCH_9.json --out /tmp/bench-check.json
 
-# Replay the full synthetic load-test stream: serial-vs-batched throughput
-# with latency percentiles and a bit-exact metrics digest, admission control
-# under queue-capacity and rate-limit pressure, N concurrent cold processes
-# proving the shared cache's single-writer guarantee, and the chaos phase
-# (seeded fault injection against the self-healing machinery).
+# The checks no other harness makes, on the synthetic load-test stream: N
+# concurrent cold processes proving the shared cache's single-writer
+# guarantee, then the chaos phase (seeded fault injection against the
+# self-healing machinery). Serial-vs-batched throughput and digest are gated
+# by `just bench-check`; admission control by tests/service.rs.
 loadtest:
     cargo run --release --bin loadtest
 
@@ -62,11 +62,6 @@ loadtest-smoke:
 # `just chaos 1234`.
 chaos seed="42":
     cargo run --release --bin loadtest -- --chaos-only --smoke --fault-seed {{seed}}
-
-# Streaming-evaluation smoke test: three jobs on one Evaluator, asserting
-# per-job event delivery before the batch completes (the CI step).
-stream-smoke:
-    cargo run --release --example streaming_eval
 
 # Run the controller tournament: every registered scheme (paper schemes +
 # controller zoo) across all three suite tiers through one batched Evaluator,

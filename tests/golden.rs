@@ -24,6 +24,8 @@
 //! so any reuse or lane-isolation bug that slipped past them would still
 //! surface here as a golden drift.
 
+mod common;
+
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig};
 use mcd_dvfs::service::{EvalJob, Evaluator};
 use std::sync::OnceLock;
@@ -103,26 +105,36 @@ fn panel_evaluations() -> &'static [BenchmarkEvaluation] {
     EVALS.get_or_init(|| evaluate(&PANEL))
 }
 
-/// One full-registry evaluation of the given benchmarks under the headline
-/// configuration (global DVS and the controller zoo included, cache
-/// disabled, fixed seeds).
-fn evaluate(benchmarks: &[&str]) -> Vec<BenchmarkEvaluation> {
-    let config = EvaluationConfig {
+/// The headline configuration: global DVS and the controller zoo included,
+/// cache disabled, fixed seeds.
+fn config() -> EvaluationConfig {
+    EvaluationConfig {
         include_global: true,
         include_zoo: true,
         ..EvaluationConfig::default()
     }
     .with_slowdown(SLOWDOWN_TARGET)
-    .with_parallelism(2);
+    .with_parallelism(2)
+}
+
+/// One full-registry evaluation of the given benchmarks under [`config`],
+/// each outcome checked against the conservation laws.
+fn evaluate(benchmarks: &[&str]) -> Vec<BenchmarkEvaluation> {
+    let config = config();
+    let machine = config.machine.clone();
     let evaluator = Evaluator::builder().config(config).build();
     let jobs = benchmarks
         .iter()
         .map(|name| EvalJob::named(name).expect("panel benchmark exists"))
         .collect();
-    evaluator
+    let evals = evaluator
         .submit_all(jobs)
         .collect()
-        .expect("panel evaluation succeeds")
+        .expect("panel evaluation succeeds");
+    for eval in &evals {
+        common::check_evaluation(eval, &machine);
+    }
+    evals
 }
 
 /// Formats the actual metrics as a replacement for the `GOLDEN` constant.

@@ -224,8 +224,10 @@ fn each_override_changes_only_the_schemes_that_read_it() {
     }
 }
 
-/// Per-job events arrive in lifecycle order and job ids are monotonically
-/// assigned in submission order.
+/// Per-job events arrive in lifecycle order, job ids are monotonically
+/// assigned in submission order, and results stream per job: scheme results
+/// of both jobs arrive before the last terminal event, and the first job
+/// finishes before it.
 #[test]
 fn events_follow_the_documented_lifecycle() {
     let suite_benches = benches(&["adpcm decode", "adpcm encode"]);
@@ -235,18 +237,45 @@ fn events_follow_the_documented_lifecycle() {
     assert_eq!(ids.len(), 2);
     assert!(ids[0] < ids[1], "ids increase in submission order");
 
+    // Every event's (job, lifecycle stage), in arrival order.
+    let arrivals: Vec<(JobId, u8)> = stream
+        .map(|event| {
+            let stage = match &event {
+                EvalEvent::JobQueued { .. } => 0,
+                EvalEvent::JobStarted { .. } => 1,
+                EvalEvent::BaselineReady { .. } => 2,
+                EvalEvent::SchemeFinished { .. } => 3,
+                EvalEvent::JobCompleted { .. } => 4,
+                EvalEvent::JobFailed { .. } => panic!("no job should fail"),
+                EvalEvent::JobRejected { .. } => panic!("no job should be rejected"),
+            };
+            (event.job(), stage)
+        })
+        .collect();
+    let terminal = |&(_, stage): &(JobId, u8)| stage == 4;
+    let first_terminal = arrivals.iter().position(terminal);
+    let last_terminal = arrivals.iter().rposition(terminal);
+    let (Some(first_terminal), Some(last_terminal)) = (first_terminal, last_terminal) else {
+        panic!("no terminal event arrived");
+    };
+    let streamed_early: std::collections::HashSet<JobId> = arrivals[..last_terminal]
+        .iter()
+        .filter(|&&(_, s)| s == 3)
+        .map(|&(job, _)| job)
+        .collect();
+    assert_eq!(
+        streamed_early.len(),
+        2,
+        "scheme results of both jobs arrive before the last terminal event"
+    );
+    assert!(
+        first_terminal < last_terminal,
+        "the first job finishes while the batch is still running"
+    );
+
     let mut per_job: std::collections::HashMap<JobId, Vec<u8>> = Default::default();
-    for event in stream {
-        let stage = match &event {
-            EvalEvent::JobQueued { .. } => 0,
-            EvalEvent::JobStarted { .. } => 1,
-            EvalEvent::BaselineReady { .. } => 2,
-            EvalEvent::SchemeFinished { .. } => 3,
-            EvalEvent::JobCompleted { .. } => 4,
-            EvalEvent::JobFailed { .. } => panic!("no job should fail"),
-            EvalEvent::JobRejected { .. } => panic!("no job should be rejected"),
-        };
-        per_job.entry(event.job()).or_default().push(stage);
+    for (job, stage) in arrivals {
+        per_job.entry(job).or_default().push(stage);
     }
     for id in ids {
         let stages = per_job.get(&id).expect("every job emitted events");
@@ -522,11 +551,14 @@ fn admission_control_accounts_for_queued_and_rejected_jobs() {
     assert!(queued >= 2, "capacity admits at least the bounded backlog");
     assert!(rejected >= 1, "an 8-job burst must overflow a 2-slot queue");
     let mut rejected_events = 0;
-    let outcome = stream.collect_with(|event| {
-        if let EvalEvent::JobRejected { reason, .. } = event {
+    let mut completed = 0;
+    let outcome = stream.collect_with(|event| match event {
+        EvalEvent::JobRejected { reason, .. } => {
             assert!(matches!(reason, RejectReason::QueueFull { .. }));
             rejected_events += 1;
         }
+        EvalEvent::JobCompleted { .. } => completed += 1,
+        _ => {}
     });
     assert!(
         matches!(outcome, Err(McdError::Rejected(_))),
@@ -536,6 +568,7 @@ fn admission_control_accounts_for_queued_and_rejected_jobs() {
         rejected_events, rejected,
         "every rejection is a terminal event"
     );
+    assert_eq!(completed, queued, "every accepted job completes");
     let stats = evaluator.admission_stats();
     assert_eq!(stats.accepted, queued as u64);
     assert_eq!(stats.rejected_queue_full, rejected as u64);
@@ -555,7 +588,14 @@ fn admission_control_accounts_for_queued_and_rejected_jobs() {
             assert!(matches!(reason, RejectReason::RateLimited));
         }
     }
-    assert!(matches!(stream.collect(), Err(McdError::Rejected(_))));
+    let mut completed = 0;
+    let outcome = stream.collect_with(|event| {
+        if let EvalEvent::JobCompleted { .. } = event {
+            completed += 1;
+        }
+    });
+    assert!(matches!(outcome, Err(McdError::Rejected(_))));
+    assert_eq!(completed, queued.len(), "every accepted job completes");
     let stats = evaluator.admission_stats();
     assert_eq!(stats.accepted, 2);
     assert_eq!(stats.rejected_rate_limited, 4);

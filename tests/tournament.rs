@@ -15,8 +15,10 @@
 //! the PID loop's integral term holds the queue setpoint across the
 //! idle/burst boundary and loses far less time per burst.
 
+mod common;
+
 use mcd_bench::{evaluate_all, tournament};
-use mcd_dvfs::evaluation::EvaluationConfig;
+use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig};
 use mcd_workloads::suite::{self, Benchmark};
 
 /// One benchmark per suite tier, so every ranking section renders.
@@ -42,13 +44,23 @@ fn config() -> EvaluationConfig {
     .with_parallelism(2)
 }
 
+/// A tournament over `benchmarks` under [`config`], each outcome checked
+/// against the conservation laws.
+fn evaluate(benchmarks: &[Benchmark]) -> Vec<BenchmarkEvaluation> {
+    let config = config();
+    let evals = evaluate_all(benchmarks, &config).expect("tournament evaluates");
+    for eval in &evals {
+        common::check_evaluation(eval, &config.machine);
+    }
+    evals
+}
+
 /// Two tournament runs on the same panel render byte-identical reports, the
 /// full registry (≥ 7 schemes) competes, and every tier section appears.
 #[test]
 fn tournament_report_is_byte_stable_across_runs() {
-    let config = config();
-    let first = evaluate_all(&panel(), &config).expect("tournament evaluates");
-    let second = evaluate_all(&panel(), &config).expect("tournament evaluates");
+    let first = evaluate(&panel());
+    let second = evaluate(&panel());
 
     let a = tournament::render(&first);
     let b = tournament::render(&second);
@@ -80,11 +92,7 @@ fn tournament_report_is_byte_stable_across_runs() {
 /// at the pinned seeds: ~14% vs ~4%.)
 #[test]
 fn pid_beats_attack_decay_on_bursty_benchmark() {
-    let evals = evaluate_all(
-        &[suite::benchmark("sensor hub").expect("known benchmark")],
-        &config(),
-    )
-    .expect("tournament evaluates");
+    let evals = evaluate(&[suite::benchmark("sensor hub").expect("known benchmark")]);
     let eval = &evals[0];
     let pid = eval.result("pid").expect("pid competes").metrics;
     let online = eval.result("online").expect("online competes").metrics;
