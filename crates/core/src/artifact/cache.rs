@@ -46,6 +46,7 @@ use crate::artifact::key::ArtifactKey;
 use crate::error::McdError;
 use crate::fault::plan::LOCK_STALL;
 use crate::fault::{FaultPlan, FaultSite, RetryPolicy, RetryStats};
+use crate::metrics::Metrics;
 use crate::offline::OfflineSchedule;
 use mcd_sim::freq::FrequencyGrid;
 use std::collections::HashMap;
@@ -278,12 +279,25 @@ impl ArtifactCache {
             .unwrap_or_default()
     }
 
-    /// Counters of every kind this cache has touched, sorted by kind name.
-    pub fn kind_stats_all(&self) -> Vec<(&'static str, CacheStats)> {
+    /// The cache's counters as [`Metrics`] series:
+    /// `mcd_cache_{hits,misses,writes,errors,lock_waits}{kind="…"}` per kind
+    /// touched, and `mcd_cache_retries_{taken,recovered,exhausted}`.
+    pub fn metrics(&self) -> Metrics {
+        let mut metrics = Metrics::default();
         let map = self.by_kind.lock().expect("kind-stats lock never poisoned");
-        let mut all: Vec<_> = map.iter().map(|(k, s)| (*k, *s)).collect();
-        all.sort_by_key(|(k, _)| *k);
-        all
+        for (kind, s) in map.iter() {
+            let kind = Some(("kind", *kind));
+            metrics.add("mcd_cache_hits", kind, s.hits);
+            metrics.add("mcd_cache_misses", kind, s.misses);
+            metrics.add("mcd_cache_writes", kind, s.writes);
+            metrics.add("mcd_cache_errors", kind, s.errors);
+            metrics.add("mcd_cache_lock_waits", kind, s.lock_waits);
+        }
+        let r = self.retry_stats();
+        metrics.add("mcd_cache_retries_taken", None, r.retries);
+        metrics.add("mcd_cache_retries_recovered", None, r.recovered);
+        metrics.add("mcd_cache_retries_exhausted", None, r.exhausted);
+        metrics
     }
 
     fn for_kind(&self, kind: &'static str, update: impl FnOnce(&mut CacheStats)) {
@@ -740,10 +754,10 @@ impl ArtifactCache {
         entries
     }
 
-    /// Appends this process's counter snapshot to the cache directory's
-    /// `stats.log`, so `cache_stats` can report hit/miss behaviour across
-    /// processes: one `kind=<kind>` line per kind this process touched. A
-    /// no-op for disabled caches.
+    /// Appends this process's counter snapshot ([`ArtifactCache::metrics`])
+    /// to the cache directory's `stats.log`, so `cache_stats` can report
+    /// hit/miss behaviour across processes. A no-op for disabled caches and
+    /// for a cache that was never used.
     pub fn flush_stats_log(&self) {
         let Some(dir) = self.dir.as_ref() else {
             return;
@@ -752,13 +766,7 @@ impl ArtifactCache {
         if s.lookups() == 0 && s.writes == 0 {
             return;
         }
-        let mut log = String::new();
-        for (kind, k) in self.kind_stats_all() {
-            log.push_str(&format!(
-                "kind={kind} hits={} misses={} writes={} errors={} lock_waits={}\n",
-                k.hits, k.misses, k.writes, k.errors, k.lock_waits
-            ));
-        }
+        let log = self.metrics().to_string();
         let _ = fs::create_dir_all(dir).and_then(|_| {
             use std::io::Write;
             fs::OpenOptions::new()
@@ -769,50 +777,14 @@ impl ArtifactCache {
         });
     }
 
-    /// Parses one `stats.log` counter line into `into`.
-    fn parse_stats_line(line: &str, into: &mut CacheStats) {
-        for field in line.split_whitespace() {
-            let Some((name, value)) = field.split_once('=') else {
-                continue;
-            };
-            let Ok(value) = value.parse::<u64>() else {
-                continue;
-            };
-            match name {
-                "hits" => into.hits += value,
-                "misses" => into.misses += value,
-                "writes" => into.writes += value,
-                "errors" => into.errors += value,
-                "lock_waits" => into.lock_waits += value,
-                _ => {}
-            }
-        }
-    }
-
-    /// Sums every counter snapshot recorded in `dir`'s `stats.log`: the
-    /// total of [`ArtifactCache::aggregated_kind_stats`].
-    pub fn aggregated_stats(dir: &Path) -> CacheStats {
-        CacheStats::sum(Self::aggregated_kind_stats(dir).iter().map(|(_, s)| s))
-    }
-
-    /// Sums the per-kind counter snapshots recorded in `dir`'s `stats.log`
-    /// across every process that flushed there, sorted by kind name.
-    pub fn aggregated_kind_stats(dir: &Path) -> Vec<(String, CacheStats)> {
-        let mut by_kind: HashMap<String, CacheStats> = HashMap::new();
-        if let Ok(log) = fs::read_to_string(dir.join(STATS_LOG)) {
-            for line in log.lines() {
-                let Some(rest) = line.strip_prefix("kind=") else {
-                    continue;
-                };
-                let Some((kind, fields)) = rest.split_once(' ') else {
-                    continue;
-                };
-                Self::parse_stats_line(fields, by_kind.entry(kind.to_string()).or_default());
-            }
-        }
-        let mut all: Vec<_> = by_kind.into_iter().collect();
-        all.sort_by(|(a, _), (b, _)| a.cmp(b));
-        all
+    /// Every snapshot recorded in `dir`'s `stats.log`, merged across the
+    /// processes that flushed there ([`Metrics::parse`]). Lines it cannot
+    /// read are skipped: a last line a crash left half-written, and the
+    /// `kind=… hits=…` lines older builds wrote.
+    pub fn recorded_metrics(dir: &Path) -> Metrics {
+        fs::read(dir.join(STATS_LOG))
+            .map(|log| Metrics::parse(&String::from_utf8_lossy(&log)))
+            .unwrap_or_default()
     }
 }
 
@@ -1154,11 +1126,17 @@ mod tests {
         let key = sample_key();
         cache.store_schedule(&key, &sample_schedule());
         let _ = cache.load_schedule(&key);
+        // A line an older build wrote is skipped, not counted.
+        fs::write(
+            dir.join(STATS_LOG),
+            "kind=offline-schedule hits=5 misses=0 writes=0 errors=0 lock_waits=0\n",
+        )
+        .unwrap();
         cache.flush_stats_log();
         cache.flush_stats_log();
-        let total = ArtifactCache::aggregated_stats(&dir);
-        assert_eq!(total.hits, 2);
-        assert_eq!(total.writes, 2);
+        let total = ArtifactCache::recorded_metrics(&dir);
+        assert_eq!(total.total("mcd_cache_hits"), 2);
+        assert_eq!(total.total("mcd_cache_writes"), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1205,11 +1183,25 @@ mod tests {
             (s.hits, s.misses, s.writes, s.errors, s.lock_waits),
             (1, 2, 2, 1, 1)
         );
-        let kinds = cache.kind_stats_all();
-        assert_eq!(kinds.len(), 2);
-        assert_eq!(s, CacheStats::sum(kinds.iter().map(|(_, k)| k)));
+        let totals = |m: &Metrics| CacheStats {
+            hits: m.total("mcd_cache_hits"),
+            misses: m.total("mcd_cache_misses"),
+            writes: m.total("mcd_cache_writes"),
+            errors: m.total("mcd_cache_errors"),
+            lock_waits: m.total("mcd_cache_lock_waits"),
+        };
+        let metrics = cache.metrics();
+        let rendered = metrics.to_string();
+        let kinds = rendered
+            .lines()
+            .filter(|l| l.starts_with("mcd_cache_hits{"));
+        assert_eq!(kinds.count(), 2);
+        assert_eq!(totals(&metrics), s);
+        let by_kind = ["offline-schedule", "window-histograms"].map(|k| cache.kind_stats(k));
+        assert_eq!(CacheStats::sum(&by_kind), s);
         cache.flush_stats_log();
-        assert_eq!(ArtifactCache::aggregated_stats(&dir), s);
+        assert_eq!(ArtifactCache::recorded_metrics(&dir), metrics);
+        assert_eq!(totals(&ArtifactCache::recorded_metrics(&dir)), s);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -185,11 +185,6 @@ impl FaultStats {
     pub fn injected_at(&self, site: FaultSite) -> u64 {
         self.injected[site.index()]
     }
-
-    /// Total injections across every site.
-    pub fn injected_total(&self) -> u64 {
-        self.injected.iter().sum()
-    }
 }
 
 /// The decision engine every injection point consults.
@@ -323,7 +318,7 @@ mod tests {
         assert_eq!(stats.draws_at(FaultSite::ArtifactRead), 100);
         assert_eq!(stats.injected_at(FaultSite::TornWrite), 0);
         assert_eq!(stats.draws_at(FaultSite::TornWrite), 100);
-        assert_eq!(stats.injected_total(), 100);
+        assert_eq!(stats.injected.iter().sum::<u64>(), 100);
     }
 
     #[test]

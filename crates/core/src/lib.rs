@@ -40,6 +40,8 @@
 //!   chaos-tests the artifact store and the service (worker panics, torn
 //!   writes, I/O errors, lock stalls), plus the retry policy the store
 //!   recovers under;
+//! * [`metrics`] — the one snapshot of the service's counters
+//!   ([`Metrics`]) and its `name{label="value"} value` text format;
 //! * [`error`] — the shared [`McdError`] type reported on every user-facing
 //!   path.
 //!
@@ -68,6 +70,7 @@ pub mod fault;
 pub mod global_dvs;
 pub mod histogram;
 pub mod learned;
+pub mod metrics;
 pub mod offline;
 pub mod online;
 pub mod pid;
@@ -85,6 +88,7 @@ pub use error::{find_benchmark, run_main, McdError};
 pub use evaluation::{BenchmarkEvaluation, EvaluationConfig, SchemeResult};
 pub use fault::{FaultConfig, FaultPlan, FaultSite, FaultStats, RetryPolicy, RetryStats};
 pub use learned::{LearnedConfig, LearnedPolicy, LearnedTable};
+pub use metrics::Metrics;
 pub use offline::{OfflineConfig, OfflineSchedule};
 pub use online::{OnlineConfig, OnlineController};
 pub use pid::{PidConfig, PidController};

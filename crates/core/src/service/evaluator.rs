@@ -4,6 +4,7 @@ use crate::artifact::codec;
 use crate::error::McdError;
 use crate::evaluation::{BenchmarkEvaluation, EvaluationConfig, SchemeResult};
 use crate::fault::{FaultPlan, FaultSite, InjectedPanic};
+use crate::metrics::Metrics;
 use crate::scheme::{self, names, DvfsScheme, Pools, Prepared, SchemeContext, SchemeOutcome};
 use crate::service::job::{EvalBatch, EvalJob, JobId};
 use crate::service::scheduler::{AdmissionStats, PushOutcome, Scheduler, TokenBucket};
@@ -479,6 +480,41 @@ impl Evaluator {
     /// entry point only; the unconditional `submit*` family bypasses them).
     pub fn admission_stats(&self) -> AdmissionStats {
         self.shared.queue.admission_stats()
+    }
+
+    /// One snapshot of every service counter as [`Metrics`] series: the
+    /// memo (`mcd_memo_traces_{produced,reused}`), batching (`mcd_batch_*`),
+    /// admission (`mcd_admission_*`), `mcd_queue_peak_depth`, the artifact
+    /// cache ([`ArtifactCache::metrics`](crate::artifact::ArtifactCache::metrics))
+    /// and, with a fault plan enabled, `mcd_fault_{draws,injected}{site="…"}`.
+    pub fn metrics(&self) -> Metrics {
+        let mut m = self.shared.config.cache.metrics();
+        let memo = self.memo_stats();
+        m.add("mcd_memo_traces_produced", None, memo.misses);
+        m.add("mcd_memo_traces_reused", None, memo.hits);
+        let b = self.batch_stats();
+        m.add("mcd_batch_groups", None, b.groups);
+        m.add("mcd_batch_members", None, b.members);
+        m.add("mcd_batch_passes", None, b.passes);
+        m.add("mcd_batch_lanes", None, b.lanes);
+        m.add("mcd_batch_baselines_computed", None, b.baselines_computed);
+        m.add("mcd_batch_baselines_reused", None, b.baselines_reused);
+        let a = self.admission_stats();
+        m.add("mcd_admission_accepted", None, a.accepted);
+        let full = Some(("reason", "queue_full"));
+        m.add("mcd_admission_rejected", full, a.rejected_queue_full);
+        let limited = Some(("reason", "rate_limited"));
+        m.add("mcd_admission_rejected", limited, a.rejected_rate_limited);
+        m.add("mcd_queue_peak_depth", None, self.peak_queue_depth() as u64);
+        if self.shared.faults.is_enabled() {
+            let f = self.shared.faults.stats();
+            for site in FaultSite::ALL {
+                let label = Some(("site", site.label()));
+                m.add("mcd_fault_draws", label, f.draws_at(site));
+                m.add("mcd_fault_injected", label, f.injected_at(site));
+            }
+        }
+        m
     }
 
     /// Releases the memoized reference traces and baselines; the counters

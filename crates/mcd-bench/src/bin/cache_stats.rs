@@ -1,13 +1,11 @@
-//! Inspect the artifact cache: entries, sizes, and accumulated hit/miss
-//! counters.
+//! Inspect the artifact cache: entries, sizes, and accumulated counters.
 //!
 //! The cache directory is resolved exactly as the figure binaries resolve it
-//! (`MCD_CACHE_DIR`, default `.mcd-cache/`). Hit/miss counters are aggregated
-//! from the `stats.log` snapshots the figure binaries append on exit, so the
-//! report covers every process that used the directory — including the
-//! per-kind hit/miss/write breakdown and the publication-lock contention
-//! (`lock_waits`) concurrent processes recorded. `just cache-clean` removes
-//! the directory.
+//! (`MCD_CACHE_DIR`, default `.mcd-cache/`). After the entries table come
+//! the counters every process that used the directory recorded in its
+//! `stats.log` ([`ArtifactCache::recorded_metrics`]), in the figure
+//! binaries' `series value` format, `lock_waits` (publication-lock
+//! contention) included. `just cache-clean` removes the directory.
 
 use mcd_bench::run_main;
 use mcd_dvfs::artifact::ArtifactCache;
@@ -59,37 +57,12 @@ fn main() -> ExitCode {
             );
         }
 
-        let log = ArtifactCache::aggregated_stats(dir);
+        let recorded = ArtifactCache::recorded_metrics(dir).to_string();
         println!();
-        if log.lookups() == 0 && log.writes == 0 {
-            println!("no recorded lookups (run a figure binary to populate stats.log)");
-        } else {
-            println!(
-                "recorded counters: hits={} misses={} writes={} errors={} lock_waits={} \
-                 ({} lookups)",
-                log.hits,
-                log.misses,
-                log.writes,
-                log.errors,
-                log.lock_waits,
-                log.lookups()
-            );
-            let kinds = ArtifactCache::aggregated_kind_stats(dir);
-            if !kinds.is_empty() {
-                println!();
-                println!(
-                    "{:<20} {:>8} {:>8} {:>8} {:>8} {:>10}",
-                    "kind", "hits", "misses", "writes", "errors", "lock_waits"
-                );
-                println!("{}", "-".repeat(68));
-                for (kind, s) in &kinds {
-                    println!(
-                        "{kind:<20} {:>8} {:>8} {:>8} {:>8} {:>10}",
-                        s.hits, s.misses, s.writes, s.errors, s.lock_waits
-                    );
-                }
-            }
+        if recorded.is_empty() {
+            println!("no recorded counters (run a figure binary to populate stats.log)");
         }
+        print!("{recorded}");
         Ok::<(), McdError>(())
     })
 }

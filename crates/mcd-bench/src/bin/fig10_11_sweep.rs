@@ -13,8 +13,7 @@
 //! independently — only the wall clock (and the stderr statistics) differ.
 
 use mcd_bench::{
-    default_config, report_batch, report_cache, run_main, selected_benchmarks, Options,
-    SuiteSelection,
+    default_config, report_metrics, run_main, selected_benchmarks, Options, SuiteSelection,
 };
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, Summary};
 use mcd_dvfs::online::OnlineConfig;
@@ -150,8 +149,7 @@ fn main() -> ExitCode {
             );
         }
 
-        report_batch(&evaluator);
-        report_cache();
+        report_metrics(&evaluator);
         Ok(())
     })
 }

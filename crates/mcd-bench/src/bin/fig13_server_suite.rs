@@ -10,8 +10,8 @@
 //! second-tier benchmarks (the tier is already small).
 
 use mcd_bench::{
-    default_config, evaluate_all, metric_table, report_cache, run_main, selected_benchmarks,
-    Metric, Options, SuiteSelection,
+    default_config, evaluate_all, metric_table, run_main, selected_benchmarks, Metric, Options,
+    SuiteSelection,
 };
 use std::process::ExitCode;
 
@@ -38,7 +38,6 @@ fn main() -> ExitCode {
         ] {
             println!("{}", metric_table(title, &evals, metric));
         }
-        report_cache();
         Ok(())
     })
 }

@@ -3,8 +3,8 @@
 //! registry (global DVS included).
 
 use mcd_bench::{
-    default_config, evaluate_all, report_cache, run_main, scheme_columns, selected_benchmarks,
-    Metric, Options, SuiteSelection,
+    default_config, evaluate_all, run_main, scheme_columns, selected_benchmarks, Metric, Options,
+    SuiteSelection,
 };
 use mcd_dvfs::evaluation::Summary;
 use std::process::ExitCode;
@@ -44,7 +44,6 @@ fn main() -> ExitCode {
                 );
             }
         }
-        report_cache();
         Ok(())
     })
 }

@@ -8,9 +8,7 @@
 //! policy jobs form one batched group ([`EvalJob::batch`]), so the group
 //! shares one reference trace and one baseline lane.
 
-use mcd_bench::{
-    default_config, format, report_batch, report_cache, run_main, Options, SuiteSelection,
-};
+use mcd_bench::{default_config, format, report_metrics, run_main, Options, SuiteSelection};
 use mcd_dvfs::error::find_benchmark;
 use mcd_dvfs::scheme::names;
 use mcd_dvfs::service::{EvalJob, Evaluator};
@@ -77,8 +75,7 @@ fn main() -> ExitCode {
             }
             println!();
         }
-        report_batch(&evaluator);
-        report_cache();
+        report_metrics(&evaluator);
         Ok(())
     })
 }

@@ -6,7 +6,8 @@
 //! 1. **Shared cache** — N concurrent worker processes (re-executions of
 //!    this binary with `--worker`) cold-start on one `MCD_CACHE_DIR`; the
 //!    parent then asserts the single-writer guarantee: per artifact kind,
-//!    recorded writes equal distinct files — no key was computed twice.
+//!    the `mcd_cache_writes{kind="…"}` the workers recorded in `stats.log`
+//!    equal distinct files — no key was computed twice.
 //! 2. **Chaos** — the stream replayed twice through identical machinery
 //!    (evaluator plus artifact cache on a fresh directory), once under a
 //!    disabled fault plan and once under the seeded
@@ -17,7 +18,8 @@
 //!    the fault-free run's at the same stream index; the cache directory
 //!    afterwards holds only envelope-verified artifacts and zero stranded
 //!    `.lock-*`/`.tmp-*` debris; and a liveness watchdog armed around the
-//!    phase never fires (exit 3 if it does).
+//!    phase never fires (exit 3 if it does). Each run prints its retry and
+//!    fault counters as `mcd_cache_retries_*` and `mcd_fault_*` series.
 //!
 //! Serial-versus-batched throughput and the serial == batched metrics
 //! digest are gated by `perf_report`'s `load_*` stages; admission control
@@ -29,7 +31,7 @@
 //! 42 — rerunning with the failing seed replays the exact injection
 //! sequence), `--chaos-only` (skip phase 1; what CI's seed matrix runs),
 //! `--worker` (internal: run one batched stream against the environment's
-//! cache directory and append its stats snapshot). An unknown flag, a
+//! cache directory and append its counters to `stats.log`). An unknown flag, a
 //! missing value, or a value that does not parse (a count must be
 //! positive) prints `error: …` and exits 1 before any phase runs. Exit
 //! status is non-zero on any failed invariant, so CI can run
@@ -45,7 +47,7 @@ use mcd_bench::loadtest::{
 use mcd_dvfs::artifact::ArtifactCache;
 use mcd_dvfs::error::McdError;
 use mcd_dvfs::fault::InjectedPanic;
-use mcd_dvfs::{FaultConfig, FaultSite};
+use mcd_dvfs::FaultConfig;
 use std::collections::BTreeMap;
 use std::process::{Command, ExitCode};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -291,7 +293,7 @@ fn chaos_phase(points: usize, seed: u64) -> Result<bool, McdError> {
         ));
     }
     // The chaos plan must actually have fired, or the phase proves nothing.
-    if chaos.faults.injected_total() == 0 {
+    if chaos.metrics.total("mcd_fault_injected") == 0 {
         fail("chaos: the fault plan never injected anything".to_string());
     }
     // Surviving jobs are bit-identical to the fault-free run, index by index.
@@ -337,22 +339,18 @@ fn chaos_phase(points: usize, seed: u64) -> Result<bool, McdError> {
 }
 
 fn print_chaos(label: &str, report: &ChaosReport) {
-    let injected: Vec<String> = FaultSite::ALL
-        .iter()
-        .map(|&site| format!("{}={}", site.label(), report.faults.injected_at(site)))
-        .collect();
     println!(
-        "loadtest: {label:<10} jobs={} completed={} faulted={} wall_ms={:.0} \
-         retries={} recovered={} exhausted={} injected[{}]",
+        "loadtest: {label:<10} jobs={} completed={} faulted={} wall_ms={:.0}",
         report.jobs,
         report.completed,
         report.faulted,
         report.wall.as_secs_f64() * 1e3,
-        report.retry.retries,
-        report.retry.recovered,
-        report.retry.exhausted,
-        injected.join(" "),
     );
+    for line in report.metrics.to_string().lines() {
+        if line.starts_with("mcd_cache_retries_") || line.starts_with("mcd_fault_") {
+            println!("{line}");
+        }
+    }
 }
 
 /// Runs `procs` concurrent `--worker` re-executions of this binary on a
@@ -393,24 +391,24 @@ fn shared_cache_phase(points: usize, procs: usize) -> Result<bool, McdError> {
         *files.entry(entry.kind).or_default() += 1;
     }
     // Writes recorded across every process that used the directory.
-    let recorded: BTreeMap<String, _> = ArtifactCache::aggregated_kind_stats(&dir)
-        .into_iter()
-        .collect();
-    let totals = ArtifactCache::aggregated_stats(&dir);
+    let recorded = ArtifactCache::recorded_metrics(&dir);
+    let total_writes = recorded.total("mcd_cache_writes");
 
     let mut duplicates = 0u64;
     for (kind, count) in &files {
-        let writes = recorded.get(kind).map(|s| s.writes).unwrap_or(0);
+        let writes = recorded
+            .get("mcd_cache_writes", Some(("kind", kind)))
+            .unwrap_or(0);
         let dup = writes.saturating_sub(*count);
         duplicates += dup;
         println!("loadtest: shared-cache kind={kind} files={count} writes={writes} dup={dup}");
     }
     println!(
         "loadtest: shared-cache procs={procs} duplicate_writes={duplicates} lock_waits={} \
-         writes={}",
-        totals.lock_waits, totals.writes
+         writes={total_writes}",
+        recorded.total("mcd_cache_lock_waits")
     );
-    if files.is_empty() || totals.writes == 0 {
+    if files.is_empty() || total_writes == 0 {
         println!("loadtest: FAIL — shared-cache phase produced no artifacts");
         ok = false;
     }

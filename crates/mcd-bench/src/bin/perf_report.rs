@@ -31,7 +31,8 @@
 //! 25%) or the committed report lacks it, when the ten-point sweep costs 4×
 //! the one-point run or more, when batched load submission is less than 4×
 //! cheaper than serial, or when any serial or batched load run reports a
-//! different metrics digest. An unknown flag, a missing value, or a value
+//! different metrics digest. Every gate is evaluated and printed before the
+//! exit status reports a failure. An unknown flag, a missing value, or a value
 //! that does not parse (a non-positive `--iters`, a negative or non-finite
 //! `--tolerance`) prints `error: …` and exits 1 before any stage runs.
 //!
@@ -46,7 +47,7 @@ use mcd_dvfs::error::McdError;
 use mcd_dvfs::evaluation::EvaluationConfig;
 use mcd_dvfs::scheme::names;
 use mcd_dvfs::service::{EvalJob, Evaluator};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 use std::io::Write;
 use std::process::{Command, ExitCode, Stdio};
@@ -274,70 +275,52 @@ fn main() -> ExitCode {
     if check.is_none() {
         return ExitCode::SUCCESS;
     }
+    // Every gate is evaluated and printed before the exit status reports
+    // whether any failed: a noisy absolute gate must not hide the ratio and
+    // digest gates behind it.
+    let mut failed = false;
+    let mut gate = |pass: bool, what: String| {
+        let verdict = if pass { "ok" } else { "REGRESSION" };
+        eprintln!("perf_report: {verdict} — {what}");
+        failed |= !pass;
+    };
     let stage_median = |stage: &str| medians.get(stage).copied().unwrap_or(f64::NAN);
     for (stage, committed) in committed {
         let measured = stage_median(stage);
         let limit = committed * (1.0 + tolerance);
-        if measured > limit {
-            eprintln!(
-                "perf_report: REGRESSION — {stage} median {measured:.1} CPU ms exceeds \
-                 committed {committed:.1} ms by more than {:.0}% (limit {limit:.1} ms)",
+        gate(
+            measured <= limit,
+            format!(
+                "{stage} median {measured:.1} CPU ms against committed {committed:.1} ms \
+                 (limit +{:.0}%, {limit:.1} ms)",
                 tolerance * 100.0
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "perf_report: {stage} median {measured:.1} CPU ms within {:.0}% of committed \
-             {committed:.1} ms",
-            tolerance * 100.0
+            ),
         );
     }
     // The batched sweep's reason to exist: N points must stay well under N
     // independent runs. Gate the measured scaling directly.
     let scaling = stage_median("sweep") / stage_median("sweep_point");
-    if !scaling.is_finite() || scaling > SWEEP_SCALING_LIMIT {
-        eprintln!(
-            "perf_report: REGRESSION — {SWEEP_POINTS}-point sweep costs {scaling:.2}x a \
-             single point (limit {SWEEP_SCALING_LIMIT:.1}x): batching has stopped paying off"
-        );
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "perf_report: sweep scaling {scaling:.2}x for {SWEEP_POINTS} points \
-         (limit {SWEEP_SCALING_LIMIT:.1}x)"
+    gate(
+        scaling.is_finite() && scaling <= SWEEP_SCALING_LIMIT,
+        format!(
+            "{SWEEP_POINTS}-point sweep costs {scaling:.2}x a single point \
+             (limit {SWEEP_SCALING_LIMIT:.1}x)"
+        ),
     );
     // The load test's reason to exist: batched submission of the mixed
     // stream must beat serial submission by the floor, with bit-identical
     // per-job metrics.
     let speedup = stage_median("load_serial") / stage_median("load_batched");
-    if !speedup.is_finite() || speedup < LOAD_SPEEDUP_FLOOR {
-        eprintln!(
-            "perf_report: REGRESSION — batched load stream is only {speedup:.2}x serial \
-             (floor {LOAD_SPEEDUP_FLOOR:.1}x): the batching fast path has degraded"
-        );
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "perf_report: load speedup {speedup:.2}x batched over serial \
-         (floor {LOAD_SPEEDUP_FLOOR:.1}x)"
+    gate(
+        speedup.is_finite() && speedup >= LOAD_SPEEDUP_FLOOR,
+        format!("batched load stream is {speedup:.2}x serial (floor {LOAD_SPEEDUP_FLOOR:.1}x)"),
     );
-    match digests.first() {
-        Some(first) if digests.iter().all(|d| d == first) => {
-            eprintln!("perf_report: load digests identical across serial/batched runs ({first})");
-            ExitCode::SUCCESS
-        }
-        Some(_) => {
-            eprintln!(
-                "perf_report: REGRESSION — load stream digests differ across runs: \
-                 batched metrics are not bit-identical to serial metrics"
-            );
-            ExitCode::FAILURE
-        }
-        None => {
-            eprintln!("perf_report: REGRESSION — load stages reported no metrics digest");
-            ExitCode::FAILURE
-        }
-    }
+    let distinct: BTreeSet<&String> = digests.iter().collect();
+    gate(
+        distinct.len() == 1,
+        format!("serial and batched load runs report one metrics digest: {distinct:?}"),
+    );
+    ExitCode::from(u8::from(failed))
 }
 
 /// Runs one stage inside this (child) process and prints the measurement as a

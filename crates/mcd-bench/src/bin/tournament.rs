@@ -10,11 +10,11 @@
 //!
 //! Defaults to `--suite all` (paper + server + interactive); `--quick` keeps
 //! the representative paper subset plus the whole second tier. The report
-//! goes to stdout; cache (`mcd-cache: ...`) and batch (`mcd-batch: ...`)
-//! counters go to stderr for the CI cold/warm smoke.
+//! goes to stdout; the counter snapshot (`mcd_cache_*`, `mcd_batch_*`, …)
+//! goes to stderr for the CI cold/warm smoke.
 
 use mcd_bench::{
-    default_config, evaluate_all, report_cache, run_main, selected_benchmarks, tournament, Options,
+    default_config, evaluate_all, run_main, selected_benchmarks, tournament, Options,
     SuiteSelection,
 };
 use std::process::ExitCode;
@@ -27,7 +27,6 @@ fn main() -> ExitCode {
         config.include_zoo = true;
         let evals = evaluate_all(&benches, &config)?;
         print!("{}", tournament::render(&evals));
-        report_cache();
         Ok(())
     })
 }

@@ -4,7 +4,7 @@
 //! Each binary in `src/bin/` reproduces one table or figure; this library
 //! provides the common pieces: one flag parser ([`cli::Options`]), the
 //! evaluation configuration, suite selection, the [`Evaluator`]-backed batch
-//! entry point with streamed progress and one stderr counter line,
+//! entry point with streamed progress and one stderr counter snapshot,
 //! scheme-agnostic metric tables, the instrumentation replay behind Table 4
 //! and Figure 12, error-reporting `main` plumbing, and plain-text formatting
 //! that mirrors the rows/series the paper reports.
@@ -25,7 +25,7 @@ use mcd_sim::simulator::{NullHooks, Simulator};
 use mcd_sim::stats::{RelativeMetrics, SimStats};
 use mcd_sim::trace::PackedTrace;
 use mcd_workloads::suite::{self, Benchmark, SuiteKind};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 pub use cli::{Options, SuiteSelection};
 
@@ -72,65 +72,9 @@ pub fn selected_benchmarks(
     })
 }
 
-/// The cache shared by every evaluation this process runs, resolved once from
-/// the first caller's [`Options`] (so hit/miss counters accumulate across a
-/// binary's sweeps).
-static SHARED_CACHE: OnceLock<Arc<ArtifactCache>> = OnceLock::new();
-
-/// The artifact cache shared by every evaluation this process runs: resolved
-/// once from `--no-cache` / `MCD_NO_CACHE` / `MCD_CACHE_DIR` (defaulting to
-/// `.mcd-cache/`).
-pub fn shared_cache(options: &Options) -> Arc<ArtifactCache> {
-    SHARED_CACHE
-        .get_or_init(|| {
-            if options.no_cache {
-                Arc::new(ArtifactCache::disabled())
-            } else {
-                Arc::new(ArtifactCache::from_env())
-            }
-        })
-        .clone()
-}
-
-/// Reports the shared cache's counters on stderr (machine-greppable, used by
-/// the CI cold/warm smoke test) and appends them to the cache directory's
-/// stats log so `cache_stats` can aggregate across processes. A process that
-/// never touched the shared cache reports nothing.
-pub fn report_cache() {
-    let Some(cache) = SHARED_CACHE.get() else {
-        return;
-    };
-    if !cache.is_enabled() {
-        return;
-    }
-    let s = cache.stats();
-    if s.lookups() == 0 && s.writes == 0 {
-        return;
-    }
-    eprintln!(
-        "mcd-cache: hits={} misses={} writes={} errors={} dir={}",
-        s.hits,
-        s.misses,
-        s.writes,
-        s.errors,
-        cache
-            .dir()
-            .expect("enabled cache has a directory")
-            .display()
-    );
-    // Per-kind breakdown: the CI sweep smoke asserts `misses=0` on the
-    // expensive slowdown-independent kinds specifically (packed-trace,
-    // window-histograms), not just on the aggregate.
-    for (kind, k) in cache.kind_stats_all() {
-        eprintln!(
-            "mcd-cache[{kind}]: hits={} misses={} writes={} errors={}",
-            k.hits, k.misses, k.writes, k.errors
-        );
-    }
-    cache.flush_stats_log();
-}
-
-/// The default evaluation configuration used by the figure binaries.
+/// The default evaluation configuration used by the figure binaries. Its
+/// artifact cache follows `--no-cache` / `MCD_NO_CACHE` / `MCD_CACHE_DIR`
+/// (default `.mcd-cache/`).
 pub fn default_config(options: &Options, include_global: bool) -> EvaluationConfig {
     EvaluationConfig {
         include_global,
@@ -138,13 +82,17 @@ pub fn default_config(options: &Options, include_global: bool) -> EvaluationConf
         ..EvaluationConfig::default()
     }
     .with_slowdown(HEADLINE_SLOWDOWN)
-    .with_cache(shared_cache(options))
+    .with_cache(Arc::new(if options.no_cache {
+        ArtifactCache::disabled()
+    } else {
+        ArtifactCache::from_env()
+    }))
 }
 
 /// Evaluates every benchmark in `benches` under `config` through one
 /// [`Evaluator`], one job per benchmark, narrating per-job progress on stderr
-/// as events arrive and closing with the evaluator's counter line
-/// ([`report_batch`]). Evaluations return in submission order.
+/// as events arrive and closing with the evaluator's counter snapshot
+/// ([`report_metrics`]). Evaluations return in submission order.
 ///
 /// Sweeps that evaluate many configurations should build one [`Evaluator`]
 /// themselves and submit every configuration's jobs to it, so reference
@@ -177,28 +125,17 @@ pub fn evaluate_all(
             }
             _ => {}
         })?;
-    report_batch(&evaluator);
+    report_metrics(&evaluator);
     Ok(evals)
 }
 
-/// Reports `evaluator`'s batch and reference-trace memo counters on stderr
-/// as one machine-greppable line (`mcd-batch: groups=... passes=... ...`,
-/// read by the CI tournament smoke like the cache line).
-pub fn report_batch(evaluator: &Evaluator) {
-    let b = evaluator.batch_stats();
-    let memo = evaluator.memo_stats();
-    eprintln!(
-        "mcd-batch: groups={} members={} passes={} lanes={} baselines_computed={} \
-         baselines_reused={} traces_produced={} traces_reused={}",
-        b.groups,
-        b.members,
-        b.passes,
-        b.lanes,
-        b.baselines_computed,
-        b.baselines_reused,
-        memo.misses,
-        memo.hits
-    );
+/// Prints `evaluator`'s counter snapshot ([`Evaluator::metrics`]) on
+/// stderr, one `series value` line per counter (read by the CI smoke
+/// steps), and appends its cache's counters to the cache directory's
+/// `stats.log` for `cache_stats`. Call it once, after the last job.
+pub fn report_metrics(evaluator: &Evaluator) {
+    eprint!("{}", evaluator.metrics());
+    evaluator.config().cache.flush_stats_log();
 }
 
 /// Runs `trace` at full speed on `machine`: the baseline every relative
@@ -257,7 +194,6 @@ pub fn metric_figure(title: &str, metric: Metric, options: &Options) -> Result<(
     let config = default_config(options, false);
     let evals = evaluate_all(&benches, &config)?;
     print!("{}", metric_table(title, &evals, metric));
-    report_cache();
     Ok(())
 }
 

@@ -36,7 +36,7 @@ use mcd_dvfs::error::{find_benchmark, McdError};
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig};
 use mcd_dvfs::scheme::names;
 use mcd_dvfs::service::{EvalEvent, EvalJob, Evaluator, Priority, ResultStream};
-use mcd_dvfs::{FaultConfig, FaultPlan, FaultStats, RetryStats};
+use mcd_dvfs::{FaultConfig, FaultPlan, Metrics};
 use mcd_sim::fingerprint::Fnv1a;
 use std::collections::HashMap;
 use std::path::Path;
@@ -277,10 +277,10 @@ pub struct ChaosReport {
     /// Per canonical stream index: `Some(job_digest)` for completed jobs,
     /// `None` for faulted ones.
     pub digests: Vec<Option<u64>>,
-    /// The fault plan's draw/injection counters at drain time.
-    pub faults: FaultStats,
-    /// The cache's retry counters (transient-I/O recoveries vs exhaustions).
-    pub retry: RetryStats,
+    /// The evaluator's counter snapshot at drain time
+    /// ([`Evaluator::metrics`]): the fault plan's draws and injections per
+    /// site, the cache's retries, recoveries and exhaustions, and the rest.
+    pub metrics: Metrics,
     /// End-to-end wall clock.
     pub wall: Duration,
 }
@@ -301,12 +301,12 @@ pub fn run_chaos(
     workers: usize,
 ) -> Result<ChaosReport, McdError> {
     let faults = Arc::new(FaultPlan::new(fault_config));
-    let cache = Arc::new(ArtifactCache::new(cache_dir).with_faults(Arc::clone(&faults)));
+    let cache = ArtifactCache::new(cache_dir).with_faults(Arc::clone(&faults));
     let config = EvaluationConfig {
         parallelism: 1,
         ..EvaluationConfig::default()
     }
-    .with_cache(Arc::clone(&cache));
+    .with_cache(Arc::new(cache));
     let evaluator = Evaluator::builder()
         .config(config)
         .workers(workers)
@@ -335,6 +335,7 @@ pub fn run_chaos(
             _ => {}
         }
     }
+    let metrics = evaluator.metrics();
     // Join the workers before inspecting the directory: a live worker could
     // still hold a publication lock or an in-flight temp file.
     drop(evaluator);
@@ -354,8 +355,7 @@ pub fn run_chaos(
         unexpected,
         double_terminals,
         digests,
-        faults: faults.stats(),
-        retry: cache.retry_stats(),
+        metrics,
         wall,
     })
 }

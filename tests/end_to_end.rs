@@ -3,14 +3,18 @@
 //! checked against the qualitative shape of the paper's results.
 
 use mcd_dvfs::evaluation::{mcd_baseline_penalty, BenchmarkEvaluation, EvaluationConfig};
+use mcd_dvfs::online::OnlineConfig;
 use mcd_dvfs::profile::{train, TrainingConfig};
 use mcd_dvfs::scheme::names;
 use mcd_dvfs::service::{EvalJob, Evaluator};
 use mcd_profiling::context::ContextPolicy;
 use mcd_sim::config::MachineConfig;
 use mcd_sim::domain::Domain;
-use mcd_sim::simulator::{NullHooks, Simulator};
-use mcd_workloads::generator::generate_trace;
+use mcd_sim::reconfig::FrequencySetting;
+use mcd_sim::simulator::{NullHooks, SimHooks, Simulator};
+use mcd_sim::stats::{IntervalStats, SimStats};
+use mcd_sim::time::TimeNs;
+use mcd_workloads::generator::{generate_packed, generate_trace};
 use mcd_workloads::suite;
 
 /// Evaluates one benchmark through a single-use [`Evaluator`] service.
@@ -272,4 +276,61 @@ fn workload_character_survives_the_full_stack() {
         0.0,
         "adpcm must not execute FP work"
     );
+}
+
+/// A controller that only ever asks for full speed: before the first
+/// instruction and at every interval, counting the interval requests (each
+/// one a reconfiguration-register write).
+struct FullSpeedHooks {
+    interval_ns: f64,
+    writes: u64,
+}
+
+impl SimHooks for FullSpeedHooks {
+    fn initial_setting(&self) -> Option<FrequencySetting> {
+        Some(FrequencySetting::full_speed())
+    }
+
+    fn interval_ns(&self) -> Option<f64> {
+        Some(self.interval_ns)
+    }
+
+    fn on_interval(&mut self, _stats: &IntervalStats, _now: TimeNs) -> Option<FrequencySetting> {
+        self.writes += 1;
+        Some(FrequencySetting::full_speed())
+    }
+}
+
+/// Metamorphic property: hooks pinned at full speed reproduce the
+/// `NullHooks` baseline bit for bit, on every `SimStats` field (the `Debug`
+/// rendering prints every field, floats in shortest round-trip form), on one
+/// paper-tier and one server-tier reference trace. `reconfigurations` counts
+/// register writes, and writing the current setting is still a write, so it
+/// must equal the hooks' interval requests; such a write costs no time or
+/// energy, so every other field equals the baseline's.
+#[test]
+fn full_speed_hooks_reproduce_the_baseline_bit_for_bit() {
+    let machine = MachineConfig::default();
+    let interval_ns = OnlineConfig::default().interval_ns;
+    for name in ["adpcm decode", "kv store"] {
+        let bench = suite::benchmark(name).expect("benchmark exists");
+        let trace = generate_packed(&bench.program, &bench.inputs.reference);
+        let run = |hooks: &mut dyn SimHooks| {
+            Simulator::new(machine.clone())
+                .run(trace.iter(), hooks, false)
+                .stats
+        };
+        let baseline = run(&mut NullHooks);
+        let mut hooks = FullSpeedHooks {
+            interval_ns,
+            writes: 0,
+        };
+        let pinned = run(&mut hooks);
+        assert!(hooks.writes > 0, "{name}: the interval hook never ran");
+        let expected = SimStats {
+            reconfigurations: baseline.reconfigurations + hooks.writes,
+            ..baseline
+        };
+        assert_eq!(format!("{pinned:#?}"), format!("{expected:#?}"), "{name}");
+    }
 }

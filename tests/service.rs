@@ -3,6 +3,7 @@
 //! worker counts and thread budgets, the thread-budget split, and failure
 //! isolation.
 
+use mcd_dvfs::artifact::{self, ArtifactCache};
 use mcd_dvfs::error::McdError;
 use mcd_dvfs::evaluation::{BenchmarkEvaluation, EvaluationConfig};
 use mcd_dvfs::online::OnlineConfig;
@@ -12,6 +13,8 @@ use mcd_dvfs::service::{EvalEvent, EvalJob, Evaluator, JobId};
 use mcd_profiling::context::ContextPolicy;
 use mcd_workloads::suite;
 use mcd_workloads::suite::Benchmark;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn benches(names: &[&str]) -> Vec<Benchmark> {
     names
@@ -286,6 +289,45 @@ fn events_follow_the_documented_lifecycle() {
         assert_eq!(stages.iter().filter(|&&s| s == 3).count(), 3);
         assert!(stages.windows(2).all(|w| w[0] <= w[1]));
     }
+}
+
+/// Events are delivered as they happen, not held until the batch ends: with
+/// one worker, job B is held inside its reference-trace publication (the
+/// test holds B's `packed-trace` lock), so B cannot finish, yet job A's
+/// `JobCompleted` must arrive meanwhile; releasing the lock lets B finish.
+#[test]
+fn a_finished_job_is_delivered_while_a_later_job_is_blocked() {
+    let dir = std::env::temp_dir().join(format!("mcd-lifecycle-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = Arc::new(ArtifactCache::new(&dir));
+    let evaluator = Evaluator::builder()
+        .config(EvaluationConfig::default().with_cache(Arc::clone(&cache)))
+        .workers(1)
+        .build();
+    let pair = benches(&["adpcm decode", "adpcm encode"]);
+    let b = &pair[1];
+    let guard = cache
+        .lock_publication(&artifact::packed_trace_key(b.name, &b.inputs.reference))
+        .expect("an enabled cache hands out publication locks");
+    let jobs = pair
+        .iter()
+        .map(|bench| EvalJob::new(bench.clone()).with_schemes([names::ONLINE]));
+    let stream = evaluator.submit_all(jobs.collect());
+    let ids = stream.jobs().to_vec();
+    let (tx, rx) = mpsc::channel();
+    let drain = std::thread::spawn(move || stream.for_each(|event| drop(tx.send(event))));
+    let completed = |id: JobId| loop {
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(EvalEvent::JobCompleted { job, .. }) if job == id => return,
+            Ok(event) => assert!(!event.is_terminal(), "unexpected terminal {event:?}"),
+            Err(err) => panic!("job {id:?} did not complete: {err}"),
+        }
+    };
+    completed(ids[0]);
+    drop(guard);
+    completed(ids[1]);
+    drain.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A failing job reports `JobFailed` without poisoning the rest of its batch;
